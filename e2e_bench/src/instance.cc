@@ -4,7 +4,7 @@
 
 #include "common.h"
 #include "common/temp_dir.h"
-#include "federation/content_only_source.h"
+#include "federation/local_source.h"
 #include "federation/remote_source.h"
 #include "requests.h"
 #include "xml/parser.h"
@@ -72,6 +72,8 @@ void AttachFederation(Instance* mediator, const Instance& remote, uint64_t seed)
             "remote", std::move(transport))),
         "register remote source");
 
+  mediator->remote_port = remote.port;
+
   auto lessons = std::make_shared<netmark::federation::ContentOnlySource>("lessons");
   netmark::workload::CorpusGenerator gen(seed ^ 0x6C6573736F6EULL);
   for (int i = 0; i < 200; ++i) {
@@ -79,9 +81,27 @@ void AttachFederation(Instance* mediator, const Instance& remote, uint64_t seed)
     lessons->AddDocument("ll_" + doc.file_name,
                          Unwrap(netmark::xml::ParseXml(doc.content), "parse lesson"));
   }
+  mediator->lessons = lessons;
   Check(nm->RegisterSource(lessons), "register lessons source");
   Check(nm->DefineDatabank(kDatabank, {"local", "remote", "lessons"}), "databank");
   mediator->setup_seconds += static_cast<double>(NowNanos() - t0) / 1e9;
+}
+
+std::unique_ptr<netmark::federation::Router> MakeDatabankRouter(
+    const Instance& mediator, netmark::query::QueryResultCache* results,
+    netmark::query::QueryPlanCache* plans) {
+  auto router = std::make_unique<netmark::federation::Router>();
+  auto local = std::make_shared<netmark::federation::LocalStoreSource>(
+      "local", mediator.nm->store());
+  local->set_caches(results, plans);
+  Check(router->RegisterSource(local), "register local source");
+  Check(router->RegisterSource(std::make_shared<netmark::federation::RemoteSource>(
+            "remote", std::make_unique<netmark::server::SocketTransport>(
+                          "127.0.0.1", mediator.remote_port))),
+        "register remote source");
+  Check(router->RegisterSource(mediator.lessons), "register lessons source");
+  Check(router->DefineDatabank(kDatabank, {"local", "remote", "lessons"}), "databank");
+  return router;
 }
 
 uint64_t DirectoryBytes(const fs::path& dir) {

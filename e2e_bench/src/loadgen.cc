@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -171,7 +170,7 @@ std::string PutWire(const std::string& target, const std::string& body) {
 
 std::vector<Outcome> RunOpenLoop(uint16_t port, const std::vector<std::string>& wires,
                                  double rate, int threads, int64_t start_ns,
-                                 const ResponseCheck& check, std::atomic<size_t>* sent) {
+                                 const ResponseCheck& check) {
   std::vector<Outcome> outcomes(wires.size());
   const double interval_ns = 1e9 / rate;
   std::vector<std::thread> senders;
@@ -184,7 +183,6 @@ std::vector<Outcome> RunOpenLoop(uint16_t port, const std::vector<std::string>& 
         o.index = static_cast<uint32_t>(i);
         o.due_ns = start_ns + static_cast<int64_t>(static_cast<double>(i) * interval_ns);
         SleepUntil(o.due_ns);
-        if (sent != nullptr) sent->fetch_add(1);
         o.sent_ns = NowNanos();
         HttpResult reply = conn.Send(wires[i]);
         o.done_ns = NowNanos();

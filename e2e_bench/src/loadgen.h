@@ -6,7 +6,6 @@
 #ifndef NETMARK_E2E_LOADGEN_H_
 #define NETMARK_E2E_LOADGEN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -65,13 +64,10 @@ struct Outcome {
 
 /// Open loop: request i is due at start_ns + i / rate and goes out on
 /// connection i % threads as soon as it is due and that connection is
-/// free. Returns one Outcome per request, in request order. `*sent` (if
-/// given) is incremented just before each request goes out, so concurrent
-/// checkers can tell how many were issued.
+/// free. Returns one Outcome per request, in request order.
 std::vector<Outcome> RunOpenLoop(uint16_t port, const std::vector<std::string>& wires,
                                  double rate, int threads, int64_t start_ns,
-                                 const ResponseCheck& check,
-                                 std::atomic<size_t>* sent = nullptr);
+                                 const ResponseCheck& check);
 
 /// Closed loop: `threads` connections each send wires[t], wires[t+threads],
 /// ... (cycling) back to back for `seconds`.

@@ -1,6 +1,6 @@
 // netmark_e2e: the end-to-end NETMARK benchmark (see ../BENCHMARK.md).
 //
-//   netmark_e2e --workload xdb_hot|xdb_cold|ingest_churn|federated
+//   netmark_e2e --workload xdb_hot|xdb_cold|federated
 //               --seed N --seconds S --trace 0|1 --workdir DIR
 //   netmark_e2e --smoke --workdir DIR
 //
@@ -119,7 +119,7 @@ double RoundMedian(const std::vector<std::vector<Outcome>>& rounds, double q) {
 }
 
 /// Percentile of all rounds' samples pooled: a p99 needs the samples (a
-/// round of xdb_hot has 1,800, of xdb_cold 100), and measured over five
+/// round of xdb_hot has 900, of xdb_cold 50), and measured over five
 /// seeds the pooled p99 spread less than the median of per-round p99s.
 double Pooled(const std::vector<std::vector<Outcome>>& rounds, double q) {
   std::vector<Outcome> all;
@@ -190,18 +190,19 @@ Outcomes RunOnce(Kind kind, const Args& args, const std::filesystem::path& workd
   SetUp(&run);
   lap("set-up");
   const auto before = run.main->nm->metrics()->Collect();
+  ComputeExpected(&run);
+  lap("references");
+  RunReads(&run);
+  lap("http reads");
   std::unique_ptr<TracedRun> traced;
   if (args.trace != 0) {
     traced = std::make_unique<TracedRun>(&run);
     traced->ReplayReads();
     lap("traced reads");
   }
-  ComputeExpected(&run);
-  lap("references");
-  RunHttpPhases(&run);
-  lap("http phases");
-  FinalChecks(&run);
-  lap("final checks");
+  RunWrites(&run);
+  lap("http writes");
+  CheckPutsReconstruct(&run);
   CrossCheck(&run, before);
 
   Outcomes out;
@@ -239,7 +240,7 @@ int Smoke(Args args) {
       ++failures;
     }
   };
-  for (Kind kind : {Kind::kXdbHot, Kind::kXdbCold, Kind::kIngestChurn, Kind::kFederated}) {
+  for (Kind kind : {Kind::kXdbHot, Kind::kXdbCold, Kind::kFederated}) {
     Plan a = MakePlan(kind, 7, 2, true);
     Plan b = MakePlan(kind, 7, 2, true);
     Plan c = MakePlan(kind, 8, 2, true);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <set>
 #include <thread>
 #include <unordered_map>
 
@@ -12,7 +11,6 @@
 #include "query/xdb_query.h"
 #include "server/http_message.h"
 #include "server/netmark_service.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xslt/stylesheet.h"
 
@@ -76,6 +74,14 @@ void Run::NoteError(const std::string& what) {
   if (errors.size() < 20) errors.push_back(what);
 }
 
+void Run::Expect(bool ok, const std::string& what) {
+  ++extra_attempted;
+  if (!ok) {
+    ++extra_failed;
+    NoteError(what);
+  }
+}
+
 namespace {
 
 std::string QueryPart(const std::string& target) {
@@ -116,70 +122,70 @@ void ParallelFor(size_t n, const Fn& fn) {
   for (std::thread& t : threads) t.join();
 }
 
-/// Digests of fresh in-process answers for `indices` of run->plan.space.
-void ComputeDigests(Run* run, const std::vector<uint32_t>& indices) {
-  const Plan& plan = run->plan;
-  Instance& inst = *run->main;
-  run->expected.resize(plan.space.size());
-  run->have_expected.resize(plan.space.size(), 0);
-  if (plan.federated()) {
-    // The databank answer goes through the router; a cache-less service on
-    // the mediator's store gives the reference.
-    netmark::server::NetmarkService reference(inst.nm->store());
-    reference.set_router(inst.nm->router());
-    netmark::query::ResultCacheOptions off;
-    off.enabled = false;
-    reference.ConfigureQueryCache(off, {});
-    Check(reference.RegisterStylesheet("report", kReportSheet), "reference stylesheet");
-    ParallelFor(indices.size(), [&](size_t i) {
-      const uint32_t idx = indices[i];
-      auto request = Unwrap(netmark::server::ParseRequest(GetWire(plan.space[idx])),
-                            "parse reference request");
-      netmark::server::HttpResponse reply = reference.Handle(request);
-      if (reply.status != 200) Die("reference " + plan.space[idx] + " failed");
-      run->expected[idx] = Digest(StripSourceLatencies(std::move(reply.body)));
-    });
-  } else {
-    const netmark::query::QueryExecutor executor(inst.nm->store());
-    ParallelFor(indices.size(), [&](size_t i) {
-      thread_local netmark::xslt::Stylesheet sheet =
-          Unwrap(netmark::xslt::Stylesheet::Parse(kReportSheet), "parse stylesheet");
-      const uint32_t idx = indices[i];
-      run->expected[idx] =
-          Digest(DirectAnswer(*inst.nm->store(), executor, sheet, plan.space[idx]));
-    });
-  }
-  for (uint32_t idx : indices) run->have_expected[idx] = 1;
-}
-
-/// Checks an ingest_churn reply: a well-formed <results> (or, through
-/// xslt=report, <report>) naming only documents the run has ingested or
-/// already sent a PUT for.
-bool ChurnReplyOk(const std::string& body, const std::set<std::string>& ingested_names,
-                  const std::unordered_map<std::string, size_t>& put_first_index,
-                  size_t puts_sent) {
-  auto doc = netmark::xml::ParseXml(body);
-  if (!doc.ok()) return false;
-  netmark::xml::NodeId root = doc->DocumentElement();
-  if (root == netmark::xml::kInvalidNode) return false;
-  const std::string& root_name = doc->name(root);
-  if (root_name != "results" && root_name != "report") return false;
-  for (netmark::xml::NodeId c = doc->first_child(root); c != netmark::xml::kInvalidNode;
-       c = doc->next_sibling(c)) {
-    if (doc->name(c) != "result" && doc->name(c) != "section") continue;
-    std::string name(doc->GetAttribute(c, "doc"));
-    if (ingested_names.count(name) != 0) continue;
-    auto it = put_first_index.find(name);
-    if (it == put_first_index.end() || it->second >= puts_sent) return false;
-  }
-  return true;
-}
-
-std::vector<std::string> Wires(const Plan& plan, const std::vector<uint32_t>& seq) {
+/// Request wires for seq[from, to).
+std::vector<std::string> Wires(const Plan& plan, const std::vector<uint32_t>& seq,
+                               size_t from, size_t to) {
   std::vector<std::string> wires;
-  wires.reserve(seq.size());
-  for (uint32_t idx : seq) wires.push_back(GetWire(plan.space[idx]));
+  wires.reserve(to - from);
+  for (size_t i = from; i < to; ++i) wires.push_back(GetWire(plan.space[seq[i]]));
   return wires;
+}
+
+/// [from, to) of round `r` when `n` items are split into `rounds` rounds.
+std::pair<size_t, size_t> Slice(size_t n, size_t r, size_t rounds) {
+  return {n * r / rounds, n * (r + 1) / rounds};
+}
+
+/// \brief The result-cache model of CacheCheck: which keys were looked up.
+class CacheModel {
+ public:
+  explicit CacheModel(const Plan& plan);
+  /// Looks up plan.space[index]; true when it should hit.
+  bool Lookup(uint32_t index);
+  uint32_t key(uint32_t index) const { return key_[index]; }
+
+ private:
+  std::vector<uint32_t> key_;  ///< key id per URL of plan.space
+  std::vector<char> seen_;     ///< per key id
+};
+
+CacheModel::CacheModel(const Plan& plan) {
+  std::unordered_map<std::string, uint32_t> ids;
+  key_.reserve(plan.space.size());
+  for (const std::string& target : plan.space) {
+    netmark::query::XdbQuery q =
+        Unwrap(netmark::query::ParseXdbQuery(QueryPart(target)), "parse cache key");
+    auto [it, fresh] = ids.emplace(q.ToQueryString(), static_cast<uint32_t>(ids.size()));
+    key_.push_back(it->second);
+  }
+  seen_.assign(ids.size(), 0);
+}
+
+bool CacheModel::Lookup(uint32_t index) {
+  char& seen = seen_[key_[index]];
+  const bool hit = seen != 0;
+  seen = 1;
+  return hit;
+}
+
+/// Feeds one open loop's requests, in due order, to the model and counts
+/// the hits it predicts, and those of them that were sent while their key's
+/// first lookup in this loop was still in flight.
+void PredictOpenLoop(CacheModel* model, const std::vector<uint32_t>& seq, size_t from,
+                     const std::vector<Outcome>& outcomes, CacheCheck* check) {
+  std::unordered_map<uint32_t, size_t> first;  // key -> outcome of its first lookup
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const uint32_t idx = seq[from + i];
+    if (!model->Lookup(idx)) {
+      first.emplace(model->key(idx), i);
+      continue;
+    }
+    ++check->expected_hits;
+    auto it = first.find(model->key(idx));
+    if (it != first.end() && outcomes[it->second].done_ns > outcomes[i].sent_ns) {
+      ++check->concurrent;
+    }
+  }
 }
 
 }  // namespace
@@ -225,7 +231,6 @@ void SetUp(Run* run) {
 
 void ComputeExpected(Run* run) {
   const Plan& plan = run->plan;
-  if (plan.churn()) return;  // answers move with every commit: see FinalChecks
   std::vector<char> needed(plan.space.size(), 0);
   for (const auto* seq : {&plan.warm, &plan.open_seq, &plan.closed_seq}) {
     for (uint32_t idx : *seq) needed[idx] = 1;
@@ -234,144 +239,150 @@ void ComputeExpected(Run* run) {
   for (uint32_t i = 0; i < needed.size(); ++i) {
     if (needed[i]) indices.push_back(i);
   }
-  ComputeDigests(run, indices);
+  Instance& inst = *run->main;
+  run->expected.assign(plan.space.size(), BodyDigest{});
+  run->have_expected.assign(plan.space.size(), 0);
+  if (plan.federated()) {
+    // A cache-less service over a router of its own whose local source has
+    // no cache either; the remote instance answers each URL here first.
+    std::unique_ptr<netmark::federation::Router> router =
+        MakeDatabankRouter(inst, nullptr, nullptr);
+    netmark::server::NetmarkService reference(inst.nm->store());
+    reference.set_router(router.get());
+    netmark::query::ResultCacheOptions off;
+    off.enabled = false;
+    reference.ConfigureQueryCache(off, {});
+    Check(reference.RegisterStylesheet("report", kReportSheet), "reference stylesheet");
+    ParallelFor(indices.size(), [&](size_t i) {
+      const uint32_t idx = indices[i];
+      auto request = Unwrap(netmark::server::ParseRequest(GetWire(plan.space[idx])),
+                            "parse reference request");
+      netmark::server::HttpResponse reply = reference.Handle(request);
+      if (reply.status != 200) Die("reference " + plan.space[idx] + " failed");
+      run->expected[idx] = Digest(StripSourceLatencies(std::move(reply.body)));
+    });
+  } else {
+    const netmark::query::QueryExecutor executor(inst.nm->store());
+    ParallelFor(indices.size(), [&](size_t i) {
+      thread_local netmark::xslt::Stylesheet sheet =
+          Unwrap(netmark::xslt::Stylesheet::Parse(kReportSheet), "parse stylesheet");
+      const uint32_t idx = indices[i];
+      run->expected[idx] =
+          Digest(DirectAnswer(*inst.nm->store(), executor, sheet, plan.space[idx]));
+    });
+  }
+  for (uint32_t idx : indices) run->have_expected[idx] = 1;
 }
 
-void RunHttpPhases(Run* run) {
+void RunReads(Run* run) {
   const Plan& plan = run->plan;
   const uint16_t port = run->main->port;
-
-  // Documents already in the store: the corpus, then each swept batch.
-  std::set<std::string> ingested_names;
-  for (const auto& doc : MixedCorpus(plan.seed, plan.corpus_docs, "")) {
-    ingested_names.insert(doc.file_name);
-  }
-  std::unordered_map<std::string, size_t> put_first_index;
-  for (size_t i = 0; i < plan.puts.size(); ++i) {
-    put_first_index.emplace(plan.puts[i].name, i);
-  }
-  std::atomic<size_t> puts_sent{0};
-
-  auto make_read_check = [&](const std::vector<uint32_t>& seq) -> ResponseCheck {
-    return [&, seq_ptr = &seq](uint32_t i, const HttpResult& reply) {
-      const uint32_t idx = (*seq_ptr)[i];
-      bool ok = reply.status == 200;
-      if (ok && plan.churn()) {
-        ok = ChurnReplyOk(reply.body, ingested_names, put_first_index, puts_sent.load());
-      } else if (ok) {
-        BodyDigest got = plan.federated() ? Digest(StripSourceLatencies(reply.body))
-                                          : Digest(reply.body);
-        ok = run->have_expected[idx] && got == run->expected[idx];
+  auto check = [run](const std::vector<uint32_t>& seq, size_t from) -> ResponseCheck {
+    return [run, &seq, from](uint32_t i, const HttpResult& reply) {
+      const uint32_t idx = seq[from + i];
+      bool ok = reply.status == 200 && run->have_expected[idx];
+      if (ok) {
+        BodyDigest got = run->plan.federated() ? Digest(StripSourceLatencies(reply.body))
+                                               : Digest(reply.body);
+        ok = got == run->expected[idx];
       }
       if (!ok) {
         run->NoteError("reply " + std::to_string(reply.status) + " to " +
-                       plan.space[idx] + " failed its check");
+                       run->plan.space[idx] + " failed its check");
       }
       return ok;
     };
   };
+  obs::MetricsRegistry* registry = run->main->nm->metrics();
+  const obs::MetricsSnapshot reads_before = registry->Collect();
+  CacheModel model(plan);
 
-  std::vector<std::string> put_wires;
-  for (const PutDoc& put : plan.puts) put_wires.push_back(PutWire("/docs/" + put.name, put.body));
-  run->put_ids.assign(plan.puts.size(), -1);
-  ResponseCheck put_check = [&](uint32_t i, const HttpResult& reply) {
-    bool ok = reply.status == 201 || reply.status == 204;
-    const std::string prefix = "/docs/";
-    if (ok && reply.location.rfind(prefix, 0) == 0) {
-      run->put_ids[i] = std::atoll(reply.location.c_str() + prefix.size());
-    } else {
-      ok = false;
-    }
-    if (!ok) run->NoteError("PUT " + plan.puts[i].name + " got " + std::to_string(reply.status));
-    return ok;
-  };
-
-  // Warm-up: every warm request as fast as four connections allow.
+  // Warm-up: every warm request as fast as the connections allow.
   {
-    std::vector<Outcome> warm = RunOpenLoop(port, Wires(plan, plan.warm), 1e9, 4,
-                                            NowNanos(), make_read_check(plan.warm));
+    std::vector<Outcome> warm =
+        RunOpenLoop(port, Wires(plan, plan.warm, 0, plan.warm.size()), 1e9, kConnections,
+                    NowNanos(), check(plan.warm, 0));
     run->xdb_requests_sent += warm.size();
     run->extra_attempted += warm.size();
     for (const Outcome& o : warm) run->extra_failed += o.correct ? 0 : 1;
+    for (uint32_t idx : plan.warm) model.Lookup(idx);
   }
 
   // The phases run in rounds, each a slice of every sequence: a disturbance
   // from outside (this machine is shared) then spoils one round, and the
   // per-round medians the report takes discard it.
-  netmark::query::QueryResultCache* cache = run->main->nm->service()->result_cache();
   const size_t rounds = static_cast<size_t>(plan.rounds);
-  auto slice = [rounds](const auto& all, size_t r) {
-    const size_t from = all.size() * r / rounds, to = all.size() * (r + 1) / rounds;
-    return std::make_pair(from, to);
-  };
-  auto offset = [](const ResponseCheck& check, size_t from) -> ResponseCheck {
-    return [&check, from](uint32_t i, const HttpResult& reply) {
-      return check(static_cast<uint32_t>(i + from), reply);
-    };
-  };
-  const ResponseCheck open_check = make_read_check(plan.open_seq);
-  const ResponseCheck closed_check = make_read_check(plan.closed_seq);
-  const std::vector<std::string> open_wires = Wires(plan, plan.open_seq);
-  const std::vector<std::string> closed_wires = Wires(plan, plan.closed_seq);
-  auto sweeps = [&](size_t r) {
-    // Between rounds, so no reader is checking against ingested_names.
-    const size_t n = plan.sweep_batches.size();
-    for (size_t b = r * n / rounds; b < (r + 1) * n / rounds; ++b) {
-      SweepBatch(run, plan.sweep_batches[b]);
-      for (const auto& doc : plan.sweep_batches[b]) ingested_names.insert(doc.file_name);
-    }
-  };
-  uint64_t hits = 0, lookups = 0;
+  CacheCheck& cache = run->cache;
   for (size_t r = 0; r < rounds; ++r) {
-    auto [open_from, open_to] = slice(open_wires, r);
-    auto [closed_from, closed_to] = slice(closed_wires, r);
-    const int64_t start = NowNanos() + 20'000'000;
-    std::vector<Outcome> round_put_outcomes;
-    std::thread writer;
-    if (plan.churn()) {
-      auto [put_from, put_to] = slice(put_wires, r);
-      const std::vector<std::string> round_puts(put_wires.begin() + put_from,
-                                                put_wires.begin() + put_to);
-      // Phase 1: the writer PUTs through the open and the closed read phase.
-      writer = std::thread([&, put_from = put_from, round_puts] {
-        round_put_outcomes = RunOpenLoop(port, round_puts, plan.put_rate, 1, start,
-                                         offset(put_check, put_from), &puts_sent);
-      });
-    }
-    auto before = cache->snapshot();
-    run->open_rounds.push_back(RunOpenLoop(
-        port, std::vector<std::string>(open_wires.begin() + open_from,
-                                       open_wires.begin() + open_to),
-        plan.read_rate, plan.read_threads, start, offset(open_check, open_from)));
-    auto after = cache->snapshot();
-    hits += after.hits - before.hits;
-    lookups += after.hits - before.hits + after.misses - before.misses;
+    auto [open_from, open_to] = Slice(plan.open_seq.size(), r, rounds);
+    std::vector<std::string> wires = Wires(plan, plan.open_seq, open_from, open_to);
+    const obs::MetricsSnapshot before = registry->Collect();
+    run->open_rounds.push_back(RunOpenLoop(port, wires, plan.read_rate, kConnections,
+                                           NowNanos() + 20'000'000,
+                                           check(plan.open_seq, open_from)));
+    const obs::MetricsSnapshot after = registry->Collect();
+    const double hits = CounterSum(after, "netmark_query_cache_hits_total") -
+                        CounterSum(before, "netmark_query_cache_hits_total");
+    const double misses = CounterSum(after, "netmark_query_cache_misses_total") -
+                          CounterSum(before, "netmark_query_cache_misses_total");
+    cache.hits += static_cast<uint64_t>(hits);
+    cache.lookups += static_cast<uint64_t>(hits + misses);
+    cache.requests += run->open_rounds.back().size();
+    PredictOpenLoop(&model, plan.open_seq, open_from, run->open_rounds.back(), &cache);
+
+    auto [closed_from, closed_to] = Slice(plan.closed_seq.size(), r, rounds);
     run->closed_rounds.push_back(RunClosedLoop(
-        port, std::vector<std::string>(closed_wires.begin() + closed_from,
-                                       closed_wires.begin() + closed_to),
-        plan.closed_threads, plan.closed_seconds / static_cast<double>(rounds),
-        offset(closed_check, closed_from)));
-    if (plan.churn()) {
-      writer.join();
-      run->put_rounds.push_back(std::move(round_put_outcomes));
-      // Phase 2: drop-folder sweeps of fresh files.
-      sweeps(r);
+        port, Wires(plan, plan.closed_seq, closed_from, closed_to), kConnections,
+        plan.closed_seconds / static_cast<double>(rounds),
+        check(plan.closed_seq, closed_from)));
+    // The keys the closed loop looked up, in the order they were sent.
+    std::vector<Outcome> by_time = run->closed_rounds.back().outcomes;
+    std::stable_sort(by_time.begin(), by_time.end(),
+                     [](const Outcome& a, const Outcome& b) { return a.sent_ns < b.sent_ns; });
+    std::vector<uint32_t>& sent = run->closed_sent.emplace_back();
+    for (const Outcome& o : by_time) {
+      sent.push_back(plan.closed_seq[closed_from + o.index]);
+      model.Lookup(sent.back());
     }
   }
-  // Every other workload runs the same write path after its reads, which
-  // keep a steady epoch: PUTs alone, then sweeps, again in rounds.
-  for (size_t r = 0; r < rounds && !plan.churn(); ++r) {
-    auto [put_from, put_to] = slice(put_wires, r);
-    run->put_rounds.push_back(RunOpenLoop(
-        port, std::vector<std::string>(put_wires.begin() + put_from,
-                                       put_wires.begin() + put_to),
-        plan.put_rate, 1, NowNanos() + 10'000'000, offset(put_check, put_from),
-        &puts_sent));
-    sweeps(r);
-  }
-  run->open_hit_ratio = Ratio(static_cast<double>(hits), static_cast<double>(lookups));
+  cache.evictions = static_cast<uint64_t>(
+      CounterSum(registry->Collect(), "netmark_query_cache_evictions_total") -
+      CounterSum(reads_before, "netmark_query_cache_evictions_total"));
   for (const auto& round : run->open_rounds) run->xdb_requests_sent += round.size();
   for (const auto& round : run->closed_rounds) run->xdb_requests_sent += round.outcomes.size();
+}
+
+void RunWrites(Run* run) {
+  const Plan& plan = run->plan;
+  const uint16_t port = run->main->port;
+  run->put_ids.assign(plan.puts.size(), -1);
+  const size_t rounds = static_cast<size_t>(plan.rounds);
+  for (size_t r = 0; r < rounds; ++r) {
+    auto [from, to] = Slice(plan.puts.size(), r, rounds);
+    std::vector<std::string> wires;
+    for (size_t i = from; i < to; ++i) {
+      wires.push_back(PutWire("/docs/" + plan.puts[i].name, plan.puts[i].body));
+    }
+    ResponseCheck put_check = [run, from = from](uint32_t i, const HttpResult& reply) {
+      const std::string prefix = "/docs/";
+      const bool ok = (reply.status == 201 || reply.status == 204) &&
+                      reply.location.rfind(prefix, 0) == 0;
+      if (ok) {
+        run->put_ids[from + i] = std::atoll(reply.location.c_str() + prefix.size());
+      } else {
+        run->NoteError("PUT " + run->plan.puts[from + i].name + " got " +
+                       std::to_string(reply.status));
+      }
+      return ok;
+    };
+    run->put_rounds.push_back(
+        RunOpenLoop(port, wires, plan.put_rate, 1, NowNanos() + 10'000'000, put_check));
+    // Between PUT rounds, timed drop-folder sweeps of fresh files.
+    const size_t batches = plan.sweep_batches.size();
+    for (size_t b = r * batches / rounds; b < (r + 1) * batches / rounds; ++b) {
+      SweepBatch(run, plan.sweep_batches[b]);
+    }
+  }
   for (const auto& round : run->put_rounds) {
     run->put_requests_sent += round.size();
     for (const Outcome& o : round) run->docs_inserted += o.correct ? 1 : 0;
@@ -379,25 +390,8 @@ void RunHttpPhases(Run* run) {
   for (const PutDoc& put : plan.puts) run->input_bytes += put.body.size();
 }
 
-void FinalChecks(Run* run) {
+void CheckPutsReconstruct(Run* run) {
   const Plan& plan = run->plan;
-  if (!plan.churn()) return;
-  // Writer stopped: every hot URL over HTTP must byte-match a fresh
-  // in-process answer at the final epoch.
-  std::vector<uint32_t> all(plan.space.size());
-  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-  ComputeDigests(run, all);
-  HttpConnection conn(run->main->port);
-  for (uint32_t idx : all) {
-    HttpResult reply = conn.Send(GetWire(plan.space[idx]));
-    ++run->xdb_requests_sent;
-    ++run->extra_attempted;
-    if (reply.status != 200 || !(Digest(reply.body) == run->expected[idx])) {
-      ++run->extra_failed;
-      run->NoteError("final pass mismatch on " + plan.space[idx]);
-    }
-  }
-  // Every acknowledged PUT's latest id must reconstruct.
   std::map<std::string, int64_t> latest;
   for (size_t i = 0; i < plan.puts.size(); ++i) {
     if (run->put_ids[i] >= 0) latest[plan.puts[i].name] = run->put_ids[i];
@@ -405,13 +399,9 @@ void FinalChecks(Run* run) {
   netmark::xmlstore::XmlStore* store = run->main->nm->store();
   auto snapshot = store->BeginRead();
   for (const auto& [name, id] : latest) {
-    ++run->extra_attempted;
-    auto doc = store->Reconstruct(id);
-    if (!doc.ok()) {
-      ++run->extra_failed;
-      run->NoteError("acknowledged PUT " + name + " (id " + std::to_string(id) +
-                     ") does not reconstruct");
-    }
+    run->Expect(store->Reconstruct(id).ok(), "acknowledged PUT " + name + " (id " +
+                                                 std::to_string(id) +
+                                                 ") does not reconstruct");
   }
 }
 
@@ -439,30 +429,41 @@ void CrossCheck(Run* run, const obs::MetricsSnapshot& before) {
   };
   const double xdb_served = delta("netmark_http_requests_total", "/xdb");
   const double docs_served = delta("netmark_http_requests_total", "/docs");
-  const double hits = delta("netmark_query_cache_hits_total");
-  const double misses = delta("netmark_query_cache_misses_total");
+  const CacheCheck& c = run->cache;
   const obs::HistogramSample* latency = FindHistogram(now, "netmark_query_latency_micros");
   std::fprintf(stderr,
                "cross-check (benchmark | server registry):\n"
                "  /xdb requests      %10llu | %10.0f\n"
                "  PUT /docs requests %10llu | %10.0f\n"
-               "  result cache       open-phase hit ratio %.4f | hits %.0f misses %.0f"
-               " ratio %.4f (whole run)\n"
+               "  open-loop result-cache lookups %llu | %llu\n"
+               "  open-loop result-cache hits: expected %llu (less up to %llu concurrent "
+               "first lookups and %llu evictions) | %llu, ratio %.4f\n"
+               "  whole run: cache hits %.0f misses %.0f evictions %.0f\n"
                "  WAL bytes %.0f, fsyncs %.0f, epoll wakeups %.0f, MVCC GC reclaimed %.0f\n"
                "  netmark_query_latency_micros p50 %.0f us\n",
                static_cast<unsigned long long>(run->xdb_requests_sent), xdb_served,
                static_cast<unsigned long long>(run->put_requests_sent), docs_served,
-               run->open_hit_ratio, hits, misses, Ratio(hits, hits + misses),
+               static_cast<unsigned long long>(c.requests),
+               static_cast<unsigned long long>(c.lookups),
+               static_cast<unsigned long long>(c.expected_hits),
+               static_cast<unsigned long long>(c.concurrent),
+               static_cast<unsigned long long>(c.evictions),
+               static_cast<unsigned long long>(c.hits),
+               Ratio(static_cast<double>(c.hits), static_cast<double>(c.lookups)),
+               delta("netmark_query_cache_hits_total"),
+               delta("netmark_query_cache_misses_total"),
+               delta("netmark_query_cache_evictions_total"),
                delta("netmark_wal_bytes_appended_total"), delta("netmark_wal_fsyncs_total"),
                delta("netmark_http_server_epoll_wakeups_total"),
                delta("netmark_mvcc_gc_reclaimed_total"),
                latency == nullptr ? 0.0 : latency->p50);
-  ++run->extra_attempted;
-  if (xdb_served != static_cast<double>(run->xdb_requests_sent) ||
-      docs_served != static_cast<double>(run->put_requests_sent)) {
-    ++run->extra_failed;
-    run->NoteError("request counts disagree with the server's registry");
-  }
+  run->Expect(xdb_served == static_cast<double>(run->xdb_requests_sent) &&
+                  docs_served == static_cast<double>(run->put_requests_sent),
+              "request counts disagree with the server's registry");
+  const uint64_t floor =
+      c.expected_hits - std::min(c.expected_hits, c.concurrent + c.evictions);
+  run->Expect(c.lookups == c.requests && c.hits <= c.expected_hits && c.hits >= floor,
+              "result-cache lookups or hits disagree with the server's registry");
 }
 
 }  // namespace e2e

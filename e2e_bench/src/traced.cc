@@ -29,16 +29,9 @@ std::string QueryPart(const std::string& target) {
   return q == std::string::npos ? std::string() : target.substr(q + 1);
 }
 
-/// One replayed event: a read (index into plan.space) or a PUT.
-struct Event {
-  double due = 0;  ///< seconds from the phase start
-  bool put = false;
-  uint32_t index = 0;
-};
-
-/// Sums over the replay's executes.
+/// Sums over the replay's timed executes.
 struct ExecTotals {
-  double executes = 0, cache_hits = 0, plan_hits = 0;
+  double executes = 0, plan_hits = 0;
   double probes = 0, walked = 0, sections = 0;
 };
 
@@ -53,27 +46,32 @@ class Replay {
         handler_(store_),
         sheet_(Unwrap(netmark::xslt::Stylesheet::Parse(kReportSheet), "stylesheet")),
         log_(log) {
-    // Fresh caches for both paths: the replay reproduces the HTTP run's
-    // hit/miss sequence without reading (or warming) the service's caches.
+    // Caches of the replay's own, one set for the direct calls and another
+    // (the handler's) for Handle: neither path reads or warms the other's,
+    // nor the caches the HTTP phases used. A databank query goes through a
+    // router per path, each with a local source on that path's caches.
     executor_.set_result_cache(&results_);
     executor_.set_plan_cache(&plans_);
     Check(handler_.RegisterStylesheet("report", kReportSheet), "handler stylesheet");
-    if (plan_.federated()) handler_.set_router(nm_.router());
+    if (plan_.federated()) {
+      direct_router_ = MakeDatabankRouter(*run->main, &results_, &plans_);
+      handler_router_ =
+          MakeDatabankRouter(*run->main, handler_.result_cache(), handler_.plan_cache());
+      handler_.set_router(handler_router_.get());
+    }
   }
 
+  /// A timed read: both paths, each call inside a span.
   void Read(int64_t id, uint32_t index);
+  /// An untimed lookup, so both paths' caches hold what the server's held:
+  /// the warm-up and the HTTP run's closed loops.
+  void Warm(uint32_t index);
   void Put(int64_t id, const PutDoc& put, const std::string& name);
 
   const ExecTotals& exec() const { return exec_; }
-  /// Marks the end of the warm-up: ratios below cover what follows, as the
-  /// server's open-phase ratio does.
-  void EndWarmUp() { warm_ = exec_; }
-  double hit_ratio() const {
-    return Ratio(exec_.cache_hits - warm_.cache_hits, exec_.executes - warm_.executes);
-  }
-  double plan_hit_ratio() const {
-    return Ratio(exec_.plan_hits - warm_.plan_hits, exec_.executes - warm_.executes);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t lookups() const { return lookups_; }
+  uint64_t evictions() const { return results_.snapshot().evictions; }
   const std::vector<double>& postings() const { return postings_; }
   const std::vector<double>& response_bytes() const { return response_bytes_; }
   const std::map<std::string, std::vector<double>>& remote_us() const { return source_us_; }
@@ -102,11 +100,14 @@ class Replay {
   query::QueryPlanCache plans_;
   query::QueryExecutor executor_;
   netmark::server::NetmarkService handler_;
+  std::unique_ptr<netmark::federation::Router> direct_router_;
+  std::unique_ptr<netmark::federation::Router> handler_router_;
   netmark::xslt::Stylesheet sheet_;
   SpanLog* log_;
 
   ExecTotals exec_;
-  ExecTotals warm_;
+  uint64_t hits_ = 0;
+  uint64_t lookups_ = 0;
   std::vector<double> postings_;
   std::vector<double> response_bytes_;
   std::map<std::string, std::vector<double>> source_us_;
@@ -120,6 +121,7 @@ void Replay::Read(int64_t id, uint32_t index) {
   const std::string& target = plan_.space[index];
   auto request =
       Unwrap(netmark::server::ParseRequest(GetWire(target)), "parse replay request");
+  const query::QueryResultCache::Snapshot before = results_.snapshot();
   // Alternate which path runs first, so neither always finds the CPU
   // caches warm.
   if (id % 2 == 0) {
@@ -129,8 +131,32 @@ void Replay::Read(int64_t id, uint32_t index) {
     Handle(id, request);
     Decomposed(id, target);
   }
+  const query::QueryResultCache::Snapshot after = results_.snapshot();
+  hits_ += after.hits - before.hits;
+  lookups_ += after.hits - before.hits + after.misses - before.misses;
   if (!plan_.federated()) Probes(id, last_query_, last_hits_);
   SampleVersions();
+}
+
+void Replay::Warm(uint32_t index) {
+  // Probes both paths' caches as the server's lookup did: a hit only moves
+  // the entry up the LRU order, a miss runs the path, which inserts.
+  const std::string& target = plan_.space[index];
+  query::XdbQuery q = Unwrap(query::ParseXdbQuery(QueryPart(target)), "warm parse");
+  const std::string key = q.ToQueryString();
+  const uint64_t epoch = store_->BeginRead().epoch();
+  if (results_.Lookup(key, epoch) == nullptr) {
+    if (plan_.federated()) {
+      Unwrap(direct_router_->QueryFederated(kDatabank, q), "warm fan-out");
+    } else {
+      auto snapshot = store_->BeginRead();
+      Unwrap(executor_.Execute(q, snapshot), "warm execute");
+    }
+  }
+  if (handler_.result_cache()->Lookup(key, epoch) == nullptr) {
+    auto request = Unwrap(netmark::server::ParseRequest(GetWire(target)), "warm request");
+    if (handler_.Handle(request).status != 200) run_->NoteError("warm Handle failed");
+  }
 }
 
 void Replay::Handle(int64_t id, const netmark::server::HttpRequest& request) {
@@ -152,7 +178,7 @@ void Replay::Decomposed(int64_t id, const std::string& target) {
     netmark::federation::FederatedResult fr;
     {
       ScopedSpan s(log_, "federation.fanout", root.id(), id);
-      fr = Unwrap(nm_.router()->QueryFederated(kDatabank, q), "replay fan-out");
+      fr = Unwrap(direct_router_->QueryFederated(kDatabank, q), "replay fan-out");
     }
     for (const auto& outcome : fr.sources) {
       source_us_[outcome.source].push_back(static_cast<double>(outcome.latency_micros));
@@ -171,7 +197,6 @@ void Replay::Decomposed(int64_t id, const std::string& target) {
       last_hits_ = Unwrap(executor_.Execute(q, snapshot, &stats), "replay execute");
     }
     exec_.executes += 1;
-    exec_.cache_hits += static_cast<double>(stats.cache_hits);
     exec_.plan_hits += static_cast<double>(stats.plan_cache_hits);
     exec_.probes += static_cast<double>(stats.index_probes);
     exec_.walked += static_cast<double>(stats.nodes_walked);
@@ -289,55 +314,30 @@ struct TracedRun::State {
   Run* run;
   SpanLog log;
   Replay replay;
-  std::vector<Event> events;
-  size_t next = 0;  ///< first event not replayed yet
   int64_t id = 0;
   size_t reads = 0;
-
-  /// Replays events up to (not including) `end`.
-  void ReplayUntil(size_t end) {
-    const Plan& plan = run->plan;
-    for (; next < end; ++next) {
-      const Event& e = events[next];
-      if (e.due >= 0 && reads == plan.warm.size()) replay.EndWarmUp();
-      if (e.put) {
-        // The HTTP phases already PUT these names; a prefix keeps the
-        // replay's new-name and overwrite pattern the same as theirs.
-        replay.Put(id++, plan.puts[e.index], "replay_" + plan.puts[e.index].name);
-        ++run->docs_inserted;
-      } else {
-        replay.Read(id++, e.index);
-        ++reads;
-      }
-    }
-  }
+  size_t puts = 0;
 };
 
-TracedRun::TracedRun(Run* run) : state_(std::make_unique<State>(run)) {
-  // The same sequence the HTTP phases send: warm-up, then the open loop in
-  // due order; under ingest_churn the PUTs interleave by due time. The
-  // write path of the other workloads follows the reads, as over HTTP.
-  const Plan& plan = run->plan;
-  std::vector<Event>& events = state_->events;
-  for (uint32_t idx : plan.warm) events.push_back({-1, false, idx});
-  for (size_t i = 0; i < plan.open_seq.size(); ++i) {
-    events.push_back({static_cast<double>(i) / plan.read_rate, false, plan.open_seq[i]});
-  }
-  for (size_t i = 0; i < plan.puts.size(); ++i) {
-    const double due = static_cast<double>(i) / plan.put_rate;
-    events.push_back({plan.churn() ? due : 1e9 + due, true, static_cast<uint32_t>(i)});
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) { return a.due < b.due; });
-}
+TracedRun::TracedRun(Run* run) : state_(std::make_unique<State>(run)) {}
 
 TracedRun::~TracedRun() = default;
 
 void TracedRun::ReplayReads() {
-  if (state_->run->plan.churn()) return;
-  size_t end = 0;
-  while (end < state_->events.size() && !state_->events[end].put) ++end;
-  state_->ReplayUntil(end);
+  // The sequence the HTTP reads sent: the warm-up, then per round the open
+  // loop in due order, timed, and the keys the closed loop looked up.
+  State& st = *state_;
+  const Plan& plan = st.run->plan;
+  for (uint32_t idx : plan.warm) st.replay.Warm(idx);
+  const size_t rounds = st.run->open_rounds.size();
+  for (size_t r = 0; r < rounds; ++r) {
+    const size_t from = plan.open_seq.size() * r / rounds;
+    for (size_t i = 0; i < st.run->open_rounds[r].size(); ++i) {
+      st.replay.Read(st.id++, plan.open_seq[from + i]);
+      ++st.reads;
+    }
+    for (uint32_t idx : st.run->closed_sent[r]) st.replay.Warm(idx);
+  }
 }
 
 std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
@@ -345,10 +345,15 @@ std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
   Run* run = state_->run;
   const Plan& plan = run->plan;
   const obs::MetricsSnapshot after_http = run->main->nm->metrics()->Collect();
-  state_->ReplayUntil(state_->events.size());
+  Replay& replay = state_->replay;
+  for (const PutDoc& put : plan.puts) {
+    // The HTTP phases already PUT these names; a prefix keeps the replay's
+    // new-name and overwrite pattern the same as theirs.
+    replay.Put(state_->id++, put, "replay_" + put.name);
+    ++state_->puts;
+    ++run->docs_inserted;
+  }
   const SpanLog& log = state_->log;
-  const Replay& replay = state_->replay;
-  const std::vector<Event>& events = state_->events;
   const size_t reads = state_->reads;
   if (!log.WriteJsonLines(spans_path)) {
     std::fprintf(stderr, "warning: cannot write %s\n", spans_path.c_str());
@@ -361,10 +366,14 @@ std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
     return CounterSum(to, name, label) - CounterSum(from, name, label);
   };
 
-  // Blocking path of the decomposed requests vs Handle on the same requests.
-  double request_ns = 0, handle_ns = 0;
+  // The stages of the decomposed requests (the children of each "request"
+  // span) vs Handle on the same requests: work on the blocking path that no
+  // stage span covers shows as coverage below 1.
+  double stages_ns = 0, handle_ns = 0;
   for (const Span& s : log.spans()) {
-    if (s.name == "request") request_ns += static_cast<double>(s.end_ns - s.start_ns);
+    if (s.parent >= 0 && log.spans()[static_cast<size_t>(s.parent)].name == "request") {
+      stages_ns += static_cast<double>(s.end_ns - s.start_ns);
+    }
     if (s.name == "server.handle") handle_ns += static_cast<double>(s.end_ns - s.start_ns);
   }
   const double handle_p50 = P(self, "server.handle", 0.5);
@@ -377,11 +386,11 @@ std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
     }
   }
   const double rtt_p50 = Percentile(rtt_us, 0.5);
-  const double spans_per_read =
-      Ratio(static_cast<double>(log.spans().size()), static_cast<double>(events.size()));
-  const double overhead_pct = Ratio(100.0 * SpanCostNanos() * spans_per_read / 1e3,
+  const double spans_per_call = Ratio(static_cast<double>(log.spans().size()),
+                                     static_cast<double>(reads + state_->puts));
+  const double overhead_pct = Ratio(100.0 * SpanCostNanos() * spans_per_call / 1e3,
                                     handle_p50);
-  const double coverage = Ratio(request_ns, handle_ns);
+  const double coverage = Ratio(stages_ns, handle_ns);
 
   const double served = delta(before, after_http, "netmark_http_server_requests_total");
   const double docs = static_cast<double>(run->docs_inserted);
@@ -401,8 +410,10 @@ std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
   m.push_back({"query.execute_us_p50", P(self, "query.execute", 0.5), "us"});
   m.push_back({"query.execute_us_p99", P(self, "query.execute", 0.99), "us"});
   const ExecTotals& ex = replay.exec();
-  m.push_back({"query.result_cache_hit_ratio", replay.hit_ratio(), "ratio"});
-  m.push_back({"query.plan_cache_hit_ratio", replay.plan_hit_ratio(), "ratio"});
+  m.push_back({"query.result_cache_hit_ratio",
+               Ratio(static_cast<double>(replay.hits()), static_cast<double>(replay.lookups())),
+               "ratio"});
+  m.push_back({"query.plan_cache_hit_ratio", Ratio(ex.plan_hits, ex.executes), "ratio"});
   m.push_back({"query.index_probes_per_req", Ratio(ex.probes, ex.executes), "count"});
   m.push_back({"query.nodes_walked_per_req", Ratio(ex.walked, ex.executes), "count"});
   m.push_back({"query.sections_per_req", Ratio(ex.sections, ex.executes), "count"});
@@ -459,21 +470,25 @@ std::vector<Metric> TracedRun::Finish(const obs::MetricsSnapshot& before,
   m.push_back({"trace.coverage", coverage, "ratio"});
   m.push_back({"trace.overhead_pct", overhead_pct, "%"});
 
-  // Traced-run hygiene: the replay must see the HTTP run's hit/miss mix.
+  // Traced-run hygiene: the replay's cache sees the HTTP run's lookups one
+  // at a time. Its hits must be those the model expects, less any it
+  // evicted, and the server's must be its own, less concurrent first
+  // lookups (both miss over HTTP).
+  const CacheCheck& c = run->cache;
   std::fprintf(stderr,
-               "replay: %zu reads, %zu spans; result-cache hit ratio replay %.4f vs server "
-               "open phase %.4f; coverage %.3f%s\n",
-               reads, log.spans().size(), replay.hit_ratio(), run->open_hit_ratio,
-               coverage,
+               "replay: %zu reads, %zu spans; result-cache hits replay %llu of %llu, "
+               "expected %llu, server %llu of %llu; coverage %.3f%s\n",
+               reads, log.spans().size(), static_cast<unsigned long long>(replay.hits()),
+               static_cast<unsigned long long>(replay.lookups()),
+               static_cast<unsigned long long>(c.expected_hits),
+               static_cast<unsigned long long>(c.hits),
+               static_cast<unsigned long long>(c.lookups), coverage,
                coverage < 0.9 ? "  ** below 0.9: unexplained gap between the public "
                                 "calls and Handle **" : "");
-  if (!plan.churn() && !plan.federated()) {
-    ++run->extra_attempted;
-    if (std::abs(replay.hit_ratio() - run->open_hit_ratio) > 0.05) {
-      ++run->extra_failed;
-      run->NoteError("replay hit ratio disagrees with the server's");
-    }
-  }
+  run->Expect(replay.lookups() == reads && replay.hits() <= c.expected_hits &&
+                  replay.hits() + replay.evictions() >= c.expected_hits &&
+                  c.hits <= replay.hits() && c.hits + c.concurrent >= replay.hits(),
+              "replay result-cache hits disagree with the HTTP run's");
   for (const auto& [format, us] : replay.convert_us_by_format()) {
     std::fprintf(stderr, "  convert.upmark_us_p50[%s] %.1f\n", format.c_str(),
                  Median(us));

@@ -24,11 +24,12 @@ class TracedRun {
   TracedRun(const TracedRun&) = delete;
   TracedRun& operator=(const TracedRun&) = delete;
 
-  /// Replays the reads of a steady-epoch workload. Call before the HTTP
-  /// phases, whose write path then grows the store the reads ran on; a
-  /// no-op for ingest_churn, whose reads interleave with its PUTs.
+  /// Replays the reads RunReads sent: the open loops timed, the warm-up and
+  /// the closed loops' keys untimed (so the replay's caches hold what the
+  /// server's did). Call after RunReads and before RunWrites, on the store
+  /// the HTTP reads saw.
   void ReplayReads();
-  /// Replays the rest, writes the spans to `spans_path` and returns every
+  /// Replays the PUTs, writes the spans to `spans_path` and returns every
   /// per-layer metric. `before` is the main instance's registry right
   /// after set-up.
   std::vector<Metric> Finish(const netmark::observability::MetricsSnapshot& before,

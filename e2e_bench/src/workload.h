@@ -1,4 +1,4 @@
-// The four workloads and the seeded plan of one run: which URLs, in which
+// The workloads and the seeded plan of one run: which URLs, in which
 // order, at which offered rates, for how long.
 
 #ifndef NETMARK_E2E_WORKLOAD_H_
@@ -15,7 +15,11 @@
 
 namespace e2e {
 
-enum class Kind { kXdbHot, kXdbCold, kIngestChurn, kFederated };
+enum class Kind { kXdbHot, kXdbCold, kFederated };
+
+/// Reader connections of the open and the closed loop: the whole load comes
+/// from at most nproc (4) connections.
+inline constexpr int kConnections = 4;
 
 /// Everything one run sends, fixed by (workload, seed, seconds) before any
 /// instance starts.
@@ -31,12 +35,10 @@ struct Plan {
   int rounds = 0;          ///< rounds the phases are split into
 
   double read_rate = 0;   ///< open-loop /xdb requests per second
-  int read_threads = 0;   ///< open-loop reader connections
-  int closed_threads = 0; ///< closed-loop reader connections
   double put_rate = 0;    ///< open-loop PUTs per second (one connection)
   double open_seconds = 0;
   double closed_seconds = 0;
-  double put_seconds = 0;  ///< PUT-alone phase; 0 for ingest_churn
+  double put_seconds = 0;
 
   std::vector<std::string> space;  ///< distinct /xdb targets
   std::vector<uint32_t> warm;      ///< warm-up requests (untimed)
@@ -45,7 +47,6 @@ struct Plan {
   std::vector<PutDoc> puts;
   std::vector<std::vector<netmark::workload::GeneratedDoc>> sweep_batches;
 
-  bool churn() const { return kind == Kind::kIngestChurn; }
   bool federated() const { return kind == Kind::kFederated; }
 };
 
