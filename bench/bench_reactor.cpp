@@ -1,24 +1,18 @@
 // Reactor scalability benchmark: N idle keep-alive connections held open
 // against the epoll server while a closed-loop query load and a concurrent
 // ingestion writer run. The point of the reactor is that quiet sockets cost
-// one epoll registration, not a parked worker — so active-request latency
-// with 10k idle connections must stay close to the PR 5 worker-pool
-// baseline measured with no idle connections at all.
+// one epoll registration, not a parked worker.
 //
-// Phases:
-//   A (optional, NETMARK_BENCH_REACTOR_COMPARE=1): threadpool baseline —
-//     closed-loop clients only, the old connection model.
-//   B: epoll — prime N idle keep-alive connections, run the same closed
-//     loop plus the ingestion writer, then verify sampled idle connections
-//     still answer and the open_connections gauge saw them all.
+// The run primes N idle keep-alive connections, runs a closed loop plus the
+// ingestion writer, then verifies sampled idle connections still answer and
+// the open_connections gauge saw them all.
 //
 // Emits JSONL including a {"metric":"netmark_reactor_active_request_micros",
-// "p50",...} summary line the CI serving-stress job gates with
-// tools/check_bench_regression.py --metric.
+// "p50",...} summary line the CI serving-stress job gates against the
+// previous run with tools/check_bench_regression.py --metric.
 //
 // Knobs (env): NETMARK_BENCH_REACTOR_CONNS (default 10000, auto-capped to
-// the fd limit), _CLIENTS (4), _SECONDS (2), _SEED (1), _COMPARE (1),
-// _MAX_RATIO (0 = report only; CI sets 1.25 to enforce the 25% bound).
+// the fd limit), _CLIENTS (4), _SECONDS (2), _SEED (1).
 
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -238,8 +232,6 @@ int main() {
   int clients = static_cast<int>(EnvInt("NETMARK_BENCH_REACTOR_CLIENTS", 4));
   double seconds = EnvDouble("NETMARK_BENCH_REACTOR_SECONDS", 2.0);
   uint64_t seed = static_cast<uint64_t>(EnvInt("NETMARK_BENCH_REACTOR_SEED", 1));
-  bool compare = EnvInt("NETMARK_BENCH_REACTOR_COMPARE", 1) != 0;
-  double max_ratio = EnvDouble("NETMARK_BENCH_REACTOR_MAX_RATIO", 0.0);
 
   bench::ReportHeader("Reactor scalability (idle keep-alive fan-in)",
                       "a lean mediator multiplexes thousands of quiet client "
@@ -247,39 +239,15 @@ int main() {
   bench::JsonLines jsonl("reactor");
   char config[200];
   std::snprintf(config, sizeof(config),
-                "conns=%zu,clients=%d,workers=%d,seconds=%g,compare=%d,"
+                "conns=%zu,clients=%d,workers=%d,seconds=%g,"
                 "mix=docs+xdb,writer=50ops/s",
                 conns, clients, server::HttpServerOptions{}.worker_threads,
-                seconds, compare ? 1 : 0);
+                seconds);
   jsonl.EmitConfig(config);
   std::printf("%-28s %10s %12s %10s %10s %8s\n", "phase", "idle_conns",
               "ops/s", "p50_us", "p99_us", "errors");
 
-  double baseline_p50 = 0;
-  if (compare) {
-    // Phase A: the PR 5 worker-per-connection model, no idle connections —
-    // the latency bar the reactor must stay within 25% of.
-    NetmarkOptions options;
-    options.http_server.reactor = server::ReactorModel::kThreadPool;
-    bench::LoadedInstance base =
-        bench::MakeLoadedInstance(kCorpusSize, options, 2025 + seed);
-    bench::Check(base.nm->StartServer(0), "start threadpool server");
-    auto docs = bench::Unwrap(base.nm->ListDocuments(), "list docs");
-    std::vector<int64_t> doc_ids;
-    for (const auto& doc : docs) doc_ids.push_back(doc.doc_id);
-    RunResult r = RunActiveLoad(base.nm.get(), clients, seconds, doc_ids);
-    baseline_p50 = r.p50_us;
-    std::printf("%-28s %10d %12.0f %10.0f %10.0f %8llu\n",
-                "threadpool-baseline", 0, r.ops_per_sec, r.p50_us, r.p99_us,
-                static_cast<unsigned long long>(r.failures));
-    jsonl.Emit("threadpool_baseline_p50", static_cast<double>(clients),
-               r.p50_us * 1000.0, r.ops_per_sec, "ops/s");
-    base.nm->StopServer();
-  }
-
-  // Phase B: epoll reactor with `conns` primed idle keep-alive connections.
   NetmarkOptions options;
-  options.http_server.reactor = server::ReactorModel::kEpoll;
   // Idle connections must survive the whole run, and priming counts one
   // request per connection — neither may trigger reap or rotation.
   options.http_server.idle_timeout_ms = 600000;
@@ -373,15 +341,6 @@ int main() {
     std::printf("FAIL: open_connections gauge %.0f below fleet size %zu\n",
                 open_gauge_primed, fleet.size());
     ok = false;
-  }
-  if (compare && max_ratio > 0 && baseline_p50 > 0 &&
-      r.p50_us > baseline_p50 * max_ratio) {
-    std::printf("FAIL: epoll p50 %.0fus exceeds %.2fx threadpool baseline "
-                "%.0fus\n",
-                r.p50_us, max_ratio, baseline_p50);
-    ok = false;
-  } else if (compare && baseline_p50 > 0) {
-    std::printf("epoll p50 / threadpool p50 = %.2f\n", r.p50_us / baseline_p50);
   }
 
   inst.nm->StopServer();  // drain retires the idle fleet server-side

@@ -168,6 +168,10 @@ netmark::Result<int64_t> ShreddingStore::InsertDocument(
       }
     }
   }
+  // A single writer with no pinned readers: publish so reads see the
+  // document, then reclaim so each page keeps only its current version.
+  storage::Epoch e = db_->PublishVersions();
+  db_->ReclaimVersions({e}, e);
   return doc_id;
 }
 

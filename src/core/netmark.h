@@ -133,7 +133,7 @@ class Netmark {
 
   // --- Accessors ---
 
-  /// The serving knobs StartServer uses (connection model, pool sizing).
+  /// The serving knobs StartServer uses (pool sizing, timeouts).
   const server::HttpServerOptions& http_server_options() const {
     return options_.http_server;
   }

@@ -99,6 +99,10 @@ netmark::Result<std::vector<FederatedHit>> RemoteSource::Execute(
   // Deadline propagation: tell the remote how much budget is left so it can
   // bound its own fan-out instead of answering a query nobody is waiting for.
   query::XdbQuery pushed = query;
+  // The stylesheet is the mediator's to apply (once, over the merged
+  // results); a remote that applied it would answer with markup the
+  // results parser cannot read.
+  pushed.xslt.clear();
   if (ctx.bounded()) {
     int64_t remaining = ctx.remaining_ms();
     if (pushed.timeout_ms == 0 || remaining < pushed.timeout_ms) {

@@ -1,5 +1,5 @@
-// Readiness-driven connection engine behind HttpServer's `reactor=epoll`
-// mode (the default). One reactor thread owns every socket:
+// Readiness-driven connection engine behind HttpServer. One reactor thread
+// owns every socket:
 //
 //            ┌──────────────── epoll (LT + EPOLLONESHOT) ───────────────┐
 //   accept ──┤ register conn ── readable ── frame bytes ── complete? ───┤

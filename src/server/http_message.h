@@ -30,9 +30,7 @@ struct HttpRequest {
   // Serving-path timings stamped by HttpServer (not part of the wire
   // format); the service renders them as trace spans. Both are rounded up
   // to 1us so a measured-but-fast stage still shows in the span tree.
-  int64_t queue_wait_micros = 0;  ///< handoff-queue wait (epoll reactor:
-                                  ///< every request; threadpool: first
-                                  ///< request on a connection, reuse = 0)
+  int64_t queue_wait_micros = 0;  ///< handoff-queue wait
   int64_t parse_micros = 0;       ///< head + body parse time
 
   std::string_view Header(const std::string& name) const {
@@ -69,9 +67,8 @@ struct HttpResponse {
 /// while more bytes are needed. `head_end` caches the "\r\n\r\n" scan
 /// position across calls — pass a variable holding std::string::npos for a
 /// fresh message and reset it to npos after consuming the framed bytes.
-/// Both the worker-pool read loop and the epoll reactor frame with this, so
-/// pipelined requests split across arbitrary TCP segment boundaries are
-/// reassembled identically in either connection model.
+/// The epoll reactor frames with this, so pipelined requests split across
+/// arbitrary TCP segment boundaries are reassembled exactly.
 size_t CompleteMessageBytes(std::string_view buffer, size_t* head_end);
 
 /// \brief Parses a full request (head + body) from raw bytes.

@@ -4,12 +4,10 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "common/clock.h"
@@ -21,7 +19,7 @@ namespace netmark::server {
 
 namespace {
 
-/// Poll slice so blocked reads re-check draining_ promptly.
+/// Upper bound on one poll() wait while a response write is blocked.
 constexpr int kPollSliceMs = 100;
 
 /// Writes all of `data`, polling through EAGAIN until `deadline_micros`
@@ -51,95 +49,7 @@ netmark::Status WriteAll(int fd, std::string_view data,
   return netmark::Status::OK();
 }
 
-enum class ReadOutcome {
-  kMessage,     ///< one complete request extracted into *message
-  kIdleClose,   ///< no request started before the idle deadline (quiet reap)
-  kTimeout,     ///< request started but stalled past the read deadline
-  kPeerClosed,  ///< clean EOF at a request boundary (client went away)
-  kError,       ///< mid-request EOF or socket error (close quietly)
-};
-
-/// Reads one full HTTP message (framed by CompleteMessageBytes) from `fd`
-/// into `*message`. `buffer` carries leftover bytes between calls, so
-/// pipelined requests on a keep-alive connection are handled. The idle
-/// deadline applies while waiting for the request's first byte, the
-/// (fresher) read deadline from then on; `draining` cuts both short so
-/// Stop() never waits a full idle timeout. Threadpool model only — the
-/// epoll reactor frames incrementally off readiness events instead.
-ReadOutcome ReadOneMessage(int fd, std::string& buffer,
-                           const HttpServerOptions& options,
-                           const std::atomic<bool>& draining,
-                           std::string* message) {
-  const int64_t start = netmark::MonotonicMicros();
-  const int64_t idle_deadline = start + int64_t{options.idle_timeout_ms} * 1000;
-  int64_t read_deadline = 0;  // set once the request's first byte is in
-  int64_t drain_deadline = 0;
-  size_t head_end = std::string::npos;
-  bool message_started = !buffer.empty();
-  if (message_started) {
-    read_deadline = start + int64_t{options.read_timeout_ms} * 1000;
-  }
-
-  char chunk[4096];
-  while (true) {
-    size_t total = CompleteMessageBytes(buffer, &head_end);
-    if (total > 0) {
-      message->assign(buffer, 0, total);
-      buffer.erase(0, total);
-      return ReadOutcome::kMessage;
-    }
-    if (buffer.size() > kMaxHttpMessageBytes) return ReadOutcome::kError;
-
-    int64_t now = netmark::MonotonicMicros();
-    int64_t deadline = message_started ? read_deadline : idle_deadline;
-    if (draining.load(std::memory_order_relaxed)) {
-      if (drain_deadline == 0) drain_deadline = now + kDrainGraceMicros;
-      deadline = std::min(deadline, drain_deadline);
-    }
-    if (now >= deadline) {
-      return message_started ? ReadOutcome::kTimeout : ReadOutcome::kIdleClose;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    int slice = static_cast<int>(
-        std::min<int64_t>((deadline - now) / 1000 + 1, kPollSliceMs));
-    int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ReadOutcome::kError;
-    }
-    if (ready == 0) continue;  // slice elapsed; loop re-checks deadlines
-
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ReadOutcome::kError;
-    }
-    if (n == 0) {
-      return message_started ? ReadOutcome::kError : ReadOutcome::kPeerClosed;
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
-    if (!message_started) {
-      message_started = true;
-      read_deadline =
-          netmark::MonotonicMicros() + int64_t{options.read_timeout_ms} * 1000;
-    }
-  }
-}
-
 }  // namespace
-
-netmark::Result<ReactorModel> ParseReactorModel(std::string_view text) {
-  std::string lower = netmark::ToLower(netmark::Trim(text));
-  if (lower == "epoll") return ReactorModel::kEpoll;
-  if (lower == "threadpool") return ReactorModel::kThreadPool;
-  return netmark::Status::InvalidArgument(
-      "unknown reactor model: '" + std::string(text) +
-      "' (expected epoll|threadpool)");
-}
-
-std::string_view ReactorModelName(ReactorModel model) {
-  return model == ReactorModel::kEpoll ? "epoll" : "threadpool";
-}
 
 HttpServer::HttpServer(Handler handler, HttpServerOptions options)
     : handler_(std::move(handler)), options_(options) {
@@ -219,29 +129,21 @@ netmark::Status HttpServer::Start(uint16_t port) {
   draining_.store(false);
   running_.store(true);
   workers_.reserve(static_cast<size_t>(options_.worker_threads));
-  if (options_.reactor == ReactorModel::kEpoll) {
-    request_queue_ =
-        std::make_unique<WorkQueue<FramedRequest>>(options_.accept_queue_capacity);
-    reactor_ = std::make_unique<EpollReactor>(this);
-    netmark::Status init = reactor_->Init();
-    if (!init.ok()) {
-      running_.store(false);
-      reactor_.reset();
-      request_queue_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return init;
-    }
-    accept_thread_ = std::thread([this] { reactor_->Run(); });
-    for (int i = 0; i < options_.worker_threads; ++i) {
-      workers_.emplace_back([this] { ReactorWorkerLoop(); });
-    }
-  } else {
-    queue_ = std::make_unique<WorkQueue<QueuedConn>>(options_.accept_queue_capacity);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-    for (int i = 0; i < options_.worker_threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
+  request_queue_ =
+      std::make_unique<WorkQueue<FramedRequest>>(options_.accept_queue_capacity);
+  reactor_ = std::make_unique<EpollReactor>(this);
+  netmark::Status init = reactor_->Init();
+  if (!init.ok()) {
+    running_.store(false);
+    reactor_.reset();
+    request_queue_.reset();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return init;
+  }
+  reactor_thread_ = std::thread([this] { reactor_->Run(); });
+  for (int i = 0; i < options_.worker_threads; ++i) {
+    workers_.emplace_back([this] { ReactorWorkerLoop(); });
   }
   return netmark::Status::OK();
 }
@@ -249,15 +151,13 @@ netmark::Status HttpServer::Start(uint16_t port) {
 void HttpServer::Stop() {
   if (!running_.exchange(false)) return;
   // Drain: stop accepting first, then let workers finish the queued and
-  // in-flight requests (their responses switch to Connection: close). Under
-  // epoll the reactor thread additionally waits for every dispatched
-  // request's completion before exiting, so no connection is torn down with
-  // a worker still writing on it.
+  // in-flight requests (their responses switch to Connection: close). The
+  // reactor thread waits for every dispatched request's completion before
+  // exiting, so no connection is torn down with a worker still writing on it.
   draining_.store(true);
-  if (reactor_ != nullptr) reactor_->Wake();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (queue_ != nullptr) queue_->Close();
-  if (request_queue_ != nullptr) request_queue_->Close();
+  reactor_->Wake();
+  if (reactor_thread_.joinable()) reactor_thread_.join();
+  request_queue_->Close();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -268,141 +168,6 @@ void HttpServer::Stop() {
     listen_fd_ = -1;
   }
   draining_.store(false);
-}
-
-void HttpServer::AcceptLoop() {
-  while (running_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollSliceMs);
-    if (ready < 0) {
-      if (errno == EINTR) {
-        // A signal is not a timeout: re-check the stop flag explicitly so a
-        // drain that lands mid-poll is honored before the next wait.
-        if (!running_.load()) return;
-        continue;
-      }
-      accept_errors_.fetch_add(1);
-      handles_.accept_errors->Increment();
-      NETMARK_LOG(Warning) << "poll(listen): " << std::strerror(errno);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      continue;
-    }
-    if (ready == 0) continue;  // timeout: loop condition re-checks running_
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      // Real accept failures (EMFILE and friends) used to vanish silently;
-      // count them, log them, and back off so the loop cannot spin hot.
-      accept_errors_.fetch_add(1);
-      handles_.accept_errors->Increment();
-      NETMARK_LOG(Warning) << "accept: " << std::strerror(errno);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      continue;
-    }
-    connections_accepted_.fetch_add(1);
-    open_connections_.fetch_add(1);
-    if (queue_->TryPush(QueuedConn{fd, netmark::MonotonicMicros()})) {
-      queue_depth_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Queue full (or closing): shed immediately with a 503 instead of
-      // queueing unboundedly behind slow requests.
-      connections_shed_.fetch_add(1);
-      handles_.shed->Increment();
-      HttpResponse resp =
-          HttpResponse::Text(503, "server overloaded, retry shortly");
-      resp.headers["Connection"] = "close";
-      resp.headers["Retry-After"] = "1";
-      (void)WriteAll(fd, resp.Serialize(),
-                     netmark::MonotonicMicros() +
-                         int64_t{options_.read_timeout_ms} * 1000);
-      ::close(fd);
-      open_connections_.fetch_sub(1);
-    }
-  }
-}
-
-void HttpServer::WorkerLoop() {
-  while (true) {
-    std::optional<QueuedConn> conn = queue_->Pop();
-    if (!conn.has_value()) return;  // closed and drained
-    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    ServeConnection(conn->fd,
-                    std::max<int64_t>(
-                        netmark::MonotonicMicros() - conn->accepted_micros, 1));
-  }
-}
-
-void HttpServer::ServeConnection(int fd, int64_t queue_wait_micros) {
-  active_connections_.fetch_add(1);
-  // Belt and braces under the poll-based deadlines: a kernel-level receive/
-  // send timeout so no syscall can block a worker unboundedly.
-  timeval tv{};
-  tv.tv_sec = options_.read_timeout_ms / 1000;
-  tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  std::string buffer;  // leftover bytes between keep-alive requests
-  int served = 0;
-  while (true) {
-    std::string raw;
-    ReadOutcome outcome =
-        ReadOneMessage(fd, buffer, options_, draining_, &raw);
-    if (outcome == ReadOutcome::kTimeout) {
-      read_timeouts_.fetch_add(1);
-      handles_.read_timeouts->Increment();
-      HttpResponse resp = HttpResponse::Text(408, "request read timed out");
-      resp.headers["Connection"] = "close";
-      (void)WriteAll(fd, resp.Serialize(),
-                     netmark::MonotonicMicros() +
-                         int64_t{options_.read_timeout_ms} * 1000);
-      break;
-    }
-    if (outcome != ReadOutcome::kMessage) break;  // idle reap / EOF / error
-
-    HttpResponse response;
-    bool parsed = false;
-    bool client_close = false;
-    const int64_t parse_start = netmark::MonotonicMicros();
-    auto request = ParseRequest(raw);
-    const int64_t parse_micros =
-        std::max<int64_t>(netmark::MonotonicMicros() - parse_start, 1);
-    if (!request.ok()) {
-      NETMARK_LOG(Debug) << "bad request: " << request.status();
-      response = HttpResponse::BadRequest(request.status().ToString());
-    } else {
-      parsed = true;
-      // Queue wait belongs to the connection's first request; later
-      // keep-alive requests never sat in the accept queue.
-      request->queue_wait_micros = served == 0 ? queue_wait_micros : 0;
-      request->parse_micros = parse_micros;
-      client_close =
-          netmark::EqualsIgnoreCase(request->Header("Connection"), "close");
-      response = handler_(*request);
-    }
-    ++served;
-    requests_served_.fetch_add(1);
-    handles_.requests->Increment();
-    if (served > 1) {
-      keepalive_reuses_.fetch_add(1);
-      handles_.keepalive_reuses->Increment();
-    }
-    bool keep = parsed && !client_close &&
-                served < options_.max_requests_per_connection &&
-                !draining_.load(std::memory_order_relaxed);
-    response.headers["Connection"] = keep ? "keep-alive" : "close";
-    netmark::Status written =
-        WriteAll(fd, response.Serialize(),
-                 netmark::MonotonicMicros() +
-                     int64_t{options_.read_timeout_ms} * 1000);
-    if (!written.ok() || !keep) break;
-  }
-  ::close(fd);
-  open_connections_.fetch_sub(1);
-  active_connections_.fetch_sub(1);
 }
 
 void HttpServer::ReactorWorkerLoop() {
@@ -430,9 +195,8 @@ bool HttpServer::ServeFramedRequest(const FramedRequest& framed) {
     response = HttpResponse::BadRequest(request.status().ToString());
   } else {
     parsed = true;
-    // Under the reactor every request sits in the handoff queue, so every
-    // request carries a real queue_wait span (the threadpool model only
-    // queued whole connections, so only the first request had one).
+    // Every request sits in the handoff queue, so every request carries a
+    // real queue_wait span.
     request->queue_wait_micros =
         std::max<int64_t>(popped - framed.enqueued_micros, 1);
     request->parse_micros = parse_micros;

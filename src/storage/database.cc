@@ -170,7 +170,7 @@ netmark::Status Database::CommitTransaction() {
     for (PageId id : pager->TakeDirtySinceMark()) {
       NETMARK_ASSIGN_OR_RETURN(Page page, pager->Fetch(id));
       // Stamp before staging so recovery replays images whose CRC already
-      // matches their contents (Flush would stamp the same bytes again).
+      // matches their contents (Publish stamps the same bytes again).
       PageStampChecksum(page.raw());
       wal_->StagePageImage(txn, name, id, page.raw());
     }
@@ -199,8 +199,8 @@ bool Database::ShouldCheckpoint() const {
 
 netmark::Status Database::StagePendingAndUpgrades() {
   // One v0→v1 format scan per open: pages with spare trailer room are
-  // upgraded (in MVCC mode the published current version is swapped for an
-  // upgraded clone) and land in dirty-since-mark so this checkpoint stages
+  // upgraded (the published current version is swapped for an upgraded
+  // clone) and land in dirty-since-mark so this checkpoint stages
   // and persists them. Unreadable pages are left as is.
   if (!upgrade_scan_done_) {
     upgrade_scan_done_ = true;
@@ -226,12 +226,12 @@ netmark::Status Database::StagePendingAndUpgrades() {
   }
   if (staged == 0) return netmark::Status::OK();
   NETMARK_RETURN_NOT_OK(wal_->AppendCommit(txn));
-  // MVCC: the staged images included any unpublished working copies (junk
-  // from abandoned transactions). Publish them now so the flush below writes
+  // The staged images included any unpublished working copies (junk from
+  // abandoned transactions). Publish them now so the flush below writes
   // them under log coverage — otherwise their dirty-since-mark entry is
   // consumed here but the bytes would reach the heap only after a *later*
   // commit, without a staged image to replay over a torn write.
-  if (options_.mvcc_snapshots) PublishVersions();
+  PublishVersions();
   return netmark::Status::OK();
 }
 

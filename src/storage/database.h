@@ -43,10 +43,6 @@ struct StorageOptions {
   /// nullptr means Env::Default(). Tests and the disk-fault torture harness
   /// pass a FaultInjectingEnv.
   netmark::Env* env = nullptr;
-  /// Verify each heap page's CRC32C trailer on read miss; mismatches
-  /// quarantine the page (Status::DataLoss). Stamping on flush always
-  /// happens, so this knob can be toggled freely across restarts.
-  bool page_checksums = true;
   /// Background CRC scrub rate (pages/second; 0 disables the scrubber).
   /// Enforced by the XML store, which owns the scrubber thread.
   int scrub_pages_per_sec = 0;
@@ -54,10 +50,6 @@ struct StorageOptions {
   /// failed WAL/heap fsync instead of degrading to read-only (fail-stop for
   /// operators who prefer a supervisor restart over a limping store).
   bool abort_on_fsync_error = false;
-  /// MVCC page snapshots: epoch-versioned, copy-on-write pages so readers
-  /// never block the writer (docs/mvcc.md). Enabled by the XML store; plain
-  /// Database users keep the legacy single-buffer pager.
-  bool mvcc_snapshots = false;
   /// `[storage] mvcc_gc_interval_ms`: background version-GC cadence.
   /// Enforced by the XML store, which owns the GC thread.
   int mvcc_gc_interval_ms = 50;
@@ -119,7 +111,7 @@ class Database {
   /// daemon calls this once per sweep).
   netmark::Status SyncWal();
 
-  // --- MVCC (active when StorageOptions::mvcc_snapshots is set) ----------
+  // --- MVCC (docs/mvcc.md) -------------------------------------------------
 
   /// Epoch of the latest published commit (0 = the state at Open, WAL
   /// recovery included). Lock-free; safe from any thread. seq_cst on
@@ -192,8 +184,6 @@ class Database {
   PagerOptions MakePagerOptions() const {
     PagerOptions po;
     po.env = options_.env;
-    po.verify_checksums = options_.page_checksums;
-    po.mvcc = options_.mvcc_snapshots;
     po.mvcc_max_retained_versions =
         options_.mvcc_max_retained_versions > 0
             ? static_cast<size_t>(options_.mvcc_max_retained_versions)

@@ -51,14 +51,10 @@ netmark::Result<PageId> Pager::Allocate() {
   Page(buf.get()).Init();
   Entry& entry = entries_[id];
   entry.working = std::move(buf);
-  if (mvcc_) {
-    // Born unpublished: readers pinned at earlier epochs resolve NotFound
-    // (an empty page, semantically) until the transaction publishes.
-    entry.working_dirty = true;
-    entry.first_tag = kLatestEpoch;
-  } else {
-    entry.disk_dirty = true;
-  }
+  // Born unpublished: readers resolve NotFound (an empty page, semantically)
+  // until the transaction publishes.
+  entry.working_dirty = true;
+  entry.first_tag = kLatestEpoch;
   dirty_since_mark_.insert(id);
   page_count_.store(count + 1, std::memory_order_release);
   return id;
@@ -80,19 +76,15 @@ netmark::Result<Pager::Entry*> Pager::LoadEntryLocked(PageId id) {
   NETMARK_RETURN_NOT_OK(
       file_->Read(static_cast<uint64_t>(id) * kPageSize, kPageSize, buf.get()));
   pages_read_.fetch_add(1, std::memory_order_relaxed);
-  if (verify_checksums_ && !PageVerifyChecksum(buf.get())) {
+  if (!PageVerifyChecksum(buf.get())) {
     quarantined_.insert(id);
     return netmark::Status::DataLoss(netmark::StringPrintf(
         "page %u of %s failed checksum verification", id, file_->path().c_str()));
   }
   Entry& entry = entries_[id];
-  if (mvcc_) {
-    // Epoch 0 is the on-disk state at open (WAL recovery included).
-    entry.versions.emplace_back(Epoch{0}, std::move(buf));
-    retained_versions_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    entry.working = std::move(buf);
-  }
+  // Epoch 0 is the on-disk state at open (WAL recovery included).
+  entry.versions.emplace_back(Epoch{0}, std::move(buf));
+  retained_versions_.fetch_add(1, std::memory_order_relaxed);
   return &entry;
 }
 
@@ -103,7 +95,7 @@ netmark::Result<Page> Pager::Fetch(PageId id) {
   // returned buffer stays stable after the lock is released.
   std::lock_guard<std::mutex> lock(mu_);
   NETMARK_ASSIGN_OR_RETURN(Entry * entry, LoadEntryLocked(id));
-  if (mvcc_ && entry->working == nullptr) {
+  if (entry->working == nullptr) {
     // Copy-on-write point: the writer gets a private clone of the current
     // published version; readers keep seeing the published bytes until
     // Publish() swaps the clone in.
@@ -115,13 +107,10 @@ netmark::Result<Page> Pager::Fetch(PageId id) {
 netmark::Result<PageRef> Pager::FetchAt(PageId id, Epoch epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   NETMARK_ASSIGN_OR_RETURN(Entry * entry, LoadEntryLocked(id));
-  if (!mvcc_ || epoch == kWriterEpoch) {
-    if (entry->working != nullptr) return PageRef(entry->working);
-    if (!entry->versions.empty()) return PageRef(entry->versions.back().second);
-    return netmark::Status::Internal(
-        netmark::StringPrintf("page %u has no buffer", id));
+  if (epoch == kWriterEpoch && entry->working != nullptr) {
+    return PageRef(entry->working);
   }
-  if (epoch == kLatestEpoch) {
+  if (epoch == kLatestEpoch || epoch == kWriterEpoch) {
     if (!entry->versions.empty()) return PageRef(entry->versions.back().second);
     return netmark::Status::NotFound(netmark::StringPrintf(
         "page %u of %s has no published version yet", id, file_->path().c_str()));
@@ -146,12 +135,7 @@ netmark::Result<PageRef> Pager::FetchAt(PageId id, Epoch epoch) {
 
 void Pager::MarkDirty(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[id];
-  if (mvcc_) {
-    entry.working_dirty = true;
-  } else {
-    entry.disk_dirty = true;
-  }
+  entries_[id].working_dirty = true;
   dirty_since_mark_.insert(id);
 }
 
@@ -164,7 +148,6 @@ void Pager::DropVersionLocked(Entry& entry, size_t index) {
 
 void Pager::Publish(Epoch epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!mvcc_) return;
   for (auto& [id, entry] : entries_) {
     if (entry.working == nullptr) continue;
     if (!entry.working_dirty) {
@@ -192,7 +175,6 @@ void Pager::Publish(Epoch epoch) {
 
 uint64_t Pager::ReclaimVersions(const std::vector<Epoch>& pins, Epoch cap) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!mvcc_) return 0;
   uint64_t reclaimed = 0;
   for (auto& [id, entry] : entries_) {
     auto& versions = entry.versions;
@@ -240,18 +222,10 @@ netmark::Status Pager::Flush() {
   netmark::Status first_error = netmark::Status::OK();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, entry] : entries_) {
-    if (!entry.disk_dirty) continue;
-    uint8_t* buf = nullptr;
-    if (mvcc_) {
-      // Only published bytes reach the file; an unpublished working copy is
-      // an uncommitted transaction and must never be flushed.
-      if (entry.versions.empty()) continue;
-      buf = entry.versions.back().second.get();
-    } else {
-      if (entry.working == nullptr) continue;
-      buf = entry.working.get();
-    }
-    PageStampChecksum(buf);
+    // Only published bytes reach the file; an unpublished working copy is
+    // an uncommitted transaction and must never be flushed.
+    if (!entry.disk_dirty || entry.versions.empty()) continue;
+    const uint8_t* buf = entry.versions.back().second.get();
     netmark::Status st =
         file_->Write(static_cast<uint64_t>(id) * kPageSize, buf, kPageSize);
     if (!st.ok()) {
@@ -282,16 +256,6 @@ netmark::Result<std::vector<PageId>> Pager::UpgradeAllV0() {
       return entry_or.status();
     }
     Entry* entry = *entry_or;
-    if (!mvcc_) {
-      // Legacy mode: upgrade the single buffer in place and mark it dirty
-      // so the commit path stages + flushes it.
-      if (PageTryUpgradeV1(entry->working.get())) {
-        entry->disk_dirty = true;
-        dirty_since_mark_.insert(id);
-        upgraded.push_back(id);
-      }
-      continue;
-    }
     if (entry->working != nullptr) {
       // The writer's private copy upgrades in place (it is unpublished, so
       // no reader can observe the shift).
@@ -328,18 +292,15 @@ netmark::Result<bool> Pager::VerifyOnDisk(PageId id) {
   auto it = entries_.find(id);
   Entry* entry = it != entries_.end() ? &it->second : nullptr;
   if (entry != nullptr &&
-      (entry->disk_dirty || (mvcc_ && entry->versions.empty() &&
-                             entry->working != nullptr))) {
+      (entry->disk_dirty ||
+       (entry->versions.empty() && entry->working != nullptr))) {
     return true;
   }
   uint8_t buf[kPageSize];
   NETMARK_RETURN_NOT_OK(
       file_->Read(static_cast<uint64_t>(id) * kPageSize, kPageSize, buf));
   if (!PageVerifyChecksum(buf)) {
-    bool have_authoritative_copy =
-        entry != nullptr && (mvcc_ ? !entry->versions.empty()
-                                   : entry->working != nullptr);
-    if (have_authoritative_copy) {
+    if (entry != nullptr && !entry->versions.empty()) {
       // The in-memory copy is authoritative and intact; the disk copy
       // rotted underneath it. Re-dirty the page so the next flush heals the
       // disk instead of quarantining data we still hold.

@@ -1,8 +1,8 @@
 // Table: schema-checked rows over a heap file, with secondary B+Tree indexes.
 //
 // MVCC (docs/mvcc.md): the B+Trees are in-memory and writer-latest — entries
-// appear at Insert time, before the commit publishes. Under MVCC the table
-// therefore (a) *defers* index-entry removal: Delete/key-changed-Update queue
+// appear at Insert time, before the commit publishes. The table therefore
+// (a) *defers* index-entry removal: Delete/key-changed-Update queue
 // the removal, the commit seals it with its epoch, and the GC applies it only
 // once no pinned reader is older (so snapshot readers keep finding old rows
 // through the index); and (b) *verifies* every index lookup against the heap
@@ -39,7 +39,7 @@ class Table {
  public:
   /// Opens (or creates) the table's heap file at `file_path`. Indexes in
   /// `indexes` are (re)built from a full scan. `pager_options` carries the
-  /// I/O environment, the checksum-verification knob, and the MVCC mode.
+  /// I/O environment and the version-retention cap.
   static netmark::Result<std::unique_ptr<Table>> Open(
       TableSchema schema, const std::string& file_path,
       const std::vector<IndexDef>& indexes = {}, PagerOptions pager_options = {});
@@ -64,8 +64,8 @@ class Table {
   bool HasIndex(const std::string& name) const { return indexes_.count(name) != 0; }
   std::vector<IndexDef> IndexDefs() const;
 
-  /// Exact-match lookup on an index. Under MVCC every candidate is verified
-  /// against the heap at `epoch` (see the file comment).
+  /// Exact-match lookup on an index. Every candidate is verified against
+  /// the heap at `epoch` (see the file comment).
   netmark::Result<std::vector<RowId>> IndexLookup(const std::string& index,
                                                   const IndexKey& key,
                                                   Epoch epoch = kLatestEpoch) const;
@@ -124,7 +124,6 @@ class Table {
 
   IndexKey ExtractKey(const Index& index, const Row& row) const;
   netmark::Status IndexInsert(const Row& row, RowId id);
-  netmark::Status IndexRemove(const Row& row, RowId id);
   /// Queues removal of (key, id) from `name` (MVCC deferred-removal path).
   void DeferRemoval(const std::string& name, IndexKey key, RowId id);
   /// Re-reads each candidate at `epoch` and keeps those whose extracted key

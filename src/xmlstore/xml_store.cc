@@ -69,12 +69,8 @@ netmark::Result<std::vector<xml::Attribute>> DecodeAttributes(std::string_view b
 netmark::Result<std::unique_ptr<XmlStore>> XmlStore::Open(
     const std::string& dir, xml::NodeTypeConfig node_types,
     const storage::StorageOptions& storage_options) {
-  // The XML store is built around epoch-pinned snapshots: MVCC is not
-  // optional here (plain Database users may still opt out).
-  storage::StorageOptions opts = storage_options;
-  opts.mvcc_snapshots = true;
   NETMARK_ASSIGN_OR_RETURN(std::unique_ptr<storage::Database> db,
-                           storage::Database::Open(dir, opts));
+                           storage::Database::Open(dir, storage_options));
   std::unique_ptr<XmlStore> store(new XmlStore(std::move(db), std::move(node_types)));
   store->owned_metrics_ = std::make_unique<observability::MetricsRegistry>();
   store->metrics_ = store->owned_metrics_.get();
@@ -95,13 +91,13 @@ netmark::Result<std::unique_ptr<XmlStore>> XmlStore::Open(
   }
   store->last_commit_micros_.store(netmark::MonotonicMicros(),
                                    std::memory_order_relaxed);
-  if (opts.mvcc_gc_interval_ms > 0) {
+  if (storage_options.mvcc_gc_interval_ms > 0) {
     store->gc_thread_ = std::thread(&XmlStore::GcLoop, store.get(),
-                                    opts.mvcc_gc_interval_ms);
+                                    storage_options.mvcc_gc_interval_ms);
   }
-  if (opts.scrub_pages_per_sec > 0) {
+  if (storage_options.scrub_pages_per_sec > 0) {
     store->scrub_thread_ = std::thread(&XmlStore::ScrubberLoop, store.get(),
-                                       opts.scrub_pages_per_sec);
+                                       storage_options.scrub_pages_per_sec);
   }
   return store;
 }

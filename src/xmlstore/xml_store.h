@@ -103,8 +103,7 @@ class XmlStore {
   /// Opens (creating on first use) a store under `dir`. The fixed two-table
   /// schema is created exactly once; reopening rebuilds the text index from
   /// the stored nodes. `storage` selects the durability mode (WAL on by
-  /// default; crash recovery runs inside storage::Database::Open). The
-  /// storage layer always runs in MVCC mode under the XML store.
+  /// default; crash recovery runs inside storage::Database::Open).
   static netmark::Result<std::unique_ptr<XmlStore>> Open(
       const std::string& dir, xml::NodeTypeConfig node_types = xml::NodeTypeConfig::Default(),
       const storage::StorageOptions& storage = {});

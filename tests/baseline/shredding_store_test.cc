@@ -117,6 +117,26 @@ TEST_F(ShreddingStoreTest, PersistsAcrossReopen) {
   EXPECT_EQ(Insert("<memo><body>next</body></memo>"), id + 1);
 }
 
+TEST_F(ShreddingStoreTest, SingleWriterKeepsOneVersionPerPage) {
+  int64_t a = Insert("<memo><to>x</to><body>first</body></memo>");
+  Insert("<memo><to>y</to><body>second</body></memo>");
+  Insert("<report><body>third</body></report>");
+  // Each insert publishes and reclaims at once, so every page holds exactly
+  // one version.
+  storage::Database* db = store_->database();
+  uint64_t pages = 0;
+  for (const std::string& name : db->TableNames()) {
+    auto table = db->GetTable(name);
+    ASSERT_TRUE(table.ok());
+    pages += (*table)->pager().page_count();
+  }
+  EXPECT_GT(pages, 0u);
+  EXPECT_EQ(db->retained_versions(), pages);
+  auto rebuilt = store_->Reconstruct(a);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->TextContent(rebuilt->root()), "xfirst");
+}
+
 TEST_F(ShreddingStoreTest, DocumentWithoutRootRejected) {
   xml::Document empty;
   EXPECT_TRUE(

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/temp_dir.h"
 #include "core/netmark.h"
 #include "federation/content_only_source.h"
@@ -13,6 +14,17 @@
 
 namespace netmark {
 namespace {
+
+// Renders a databank answer as its completeness flag, one <source> per
+// source outcome, and one <h> per result heading.
+constexpr const char* kSummarySheet =
+    "<xsl:stylesheet><xsl:template match=\"/\"><report>"
+    "<complete><xsl:value-of select=\"results/@complete\"/></complete>"
+    "<xsl:for-each select=\"results/sources/source\">"
+    "<source><xsl:value-of select=\"@outcome\"/></source></xsl:for-each>"
+    "<xsl:for-each select=\"results/result\">"
+    "<h><xsl:value-of select=\"context\"/></h></xsl:for-each>"
+    "</report></xsl:template></xsl:stylesheet>";
 
 class FederationHttpTest : public ::testing::Test {
  protected:
@@ -32,6 +44,7 @@ class FederationHttpTest : public ::testing::Test {
         auto doc = gen.AnomalyReport(s * 100 + i);
         ASSERT_TRUE((*nm)->IngestContent(doc.file_name, doc.content).ok());
       }
+      ASSERT_TRUE((*nm)->RegisterStylesheet("summary", kSummarySheet).ok());
       ASSERT_TRUE((*nm)->StartServer().ok());
       remotes_.push_back(std::move(*nm));
     }
@@ -42,6 +55,7 @@ class FederationHttpTest : public ::testing::Test {
     auto nm = Netmark::Open(options);
     ASSERT_TRUE(nm.ok());
     local_ = std::move(*nm);
+    ASSERT_TRUE(local_->RegisterStylesheet("summary", kSummarySheet).ok());
 
     for (size_t s = 0; s < remotes_.size(); ++s) {
       ASSERT_TRUE(local_
@@ -134,6 +148,36 @@ TEST_F(FederationHttpTest, DatabankExposedThroughLocalHttpEndpoint) {
   EXPECT_EQ(doc->ChildElements(sources).size(), 2u);
   for (xml::NodeId src : doc->ChildElements(sources)) {
     EXPECT_EQ(doc->GetAttribute(src, "outcome"), "ok");
+  }
+  local_->StopServer();
+}
+
+TEST_F(FederationHttpTest, XsltAppliesOnceAtTheMediator) {
+  // A remote source is sent only what it can answer: the stylesheet is the
+  // mediator's to apply, so the remotes must get the query without xslt=
+  // (they would answer with a <report> the router cannot parse, and enough
+  // such failures would open their breakers).
+  ASSERT_TRUE(local_->StartServer().ok());
+  server::HttpClient client("127.0.0.1", local_->server_port());
+  std::string expected = "<report><complete>true</complete>";
+  expected += "<source>ok</source><source>ok</source>";
+  for (int i = 0; i < 8; ++i) expected += "<h>Corrective Action</h>";
+  expected += "</report>";
+  const int queries = federation::CircuitBreakerConfig{}.failure_threshold + 1;
+  for (int i = 0; i < queries; ++i) {
+    auto resp = client.Get(
+        "/xdb?context=Corrective+Action&databank=anomalies&xslt=summary");
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, 200);
+    EXPECT_EQ(resp->body, expected) << "query " << i;
+  }
+  for (const char* name : {"anomaly-db-0", "anomaly-db-1"}) {
+    federation::CircuitBreaker* breaker = local_->router()->GetBreaker(name);
+    ASSERT_NE(breaker, nullptr);
+    EXPECT_EQ(breaker->state(MonotonicMicros()),
+              federation::CircuitBreaker::State::kClosed)
+        << name;
+    EXPECT_EQ(breaker->consecutive_failures(), 0) << name;
   }
   local_->StopServer();
 }

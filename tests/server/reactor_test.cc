@@ -1,10 +1,8 @@
 // Epoll-reactor serving tests: incremental framing across arbitrary TCP
 // segment boundaries, pipelined requests, slow-loris 408s, drain with a
-// half-parsed request parked in the reactor buffer — plus a parameterized
-// suite that pins the externally observable contract (keep-alive, rotation,
-// shedding, timeouts, drain) under BOTH connection models, so
-// `reactor=threadpool` stays a faithful rollback path while it remains
-// selectable.
+// half-parsed request parked in the reactor buffer — plus a suite that pins
+// the externally observable serving contract (keep-alive, rotation,
+// shedding, timeouts, drain).
 
 #include <atomic>
 #include <chrono>
@@ -217,34 +215,13 @@ TEST(ReactorFramingTest, OpenConnectionsGaugeTracksIdleSockets) {
   server.Stop();
 }
 
-TEST(ReactorModelParsingTest, ParsesAndRejects) {
-  auto epoll = ParseReactorModel("epoll");
-  ASSERT_TRUE(epoll.ok());
-  EXPECT_EQ(*epoll, ReactorModel::kEpoll);
-  auto pool = ParseReactorModel(" ThreadPool ");
-  ASSERT_TRUE(pool.ok());
-  EXPECT_EQ(*pool, ReactorModel::kThreadPool);
-  EXPECT_FALSE(ParseReactorModel("select").ok());
-  EXPECT_EQ(ReactorModelName(ReactorModel::kEpoll), "epoll");
-  EXPECT_EQ(ReactorModelName(ReactorModel::kThreadPool), "threadpool");
-}
+// The serving contract as a client observes it: keep-alive, rotation, 503
+// shedding, 408 on stalls, quiet idle reaps, and graceful drain.
 
-/// The serving contract, pinned under both connection models: everything a
-/// client (or the PR 5/8 tests) can observe must be identical whether the
-/// bytes flow through the epoll reactor or the legacy worker pool.
-class ReactorModelTest : public ::testing::TestWithParam<ReactorModel> {
- protected:
-  HttpServerOptions Options() {
-    HttpServerOptions options;
-    options.reactor = GetParam();
-    return options;
-  }
-};
-
-TEST_P(ReactorModelTest, KeepAliveServesManyRequestsOnOneConnection) {
+TEST(ReactorContractTest, KeepAliveServesManyRequestsOnOneConnection) {
   HttpServer server([](const HttpRequest& req) {
     return HttpResponse::Ok(std::string(req.query));
-  }, Options());
+  });
   ASSERT_TRUE(server.Start().ok());
   HttpClient client("127.0.0.1", server.port());
   for (int i = 0; i < 10; ++i) {
@@ -259,8 +236,8 @@ TEST_P(ReactorModelTest, KeepAliveServesManyRequestsOnOneConnection) {
   server.Stop();
 }
 
-TEST_P(ReactorModelTest, MaxRequestsPerConnectionRotates) {
-  HttpServerOptions options = Options();
+TEST(ReactorContractTest, MaxRequestsPerConnectionRotates) {
+  HttpServerOptions options;
   options.max_requests_per_connection = 3;
   HttpServer server([](const HttpRequest&) { return HttpResponse::Ok("x"); },
                     options);
@@ -276,8 +253,8 @@ TEST_P(ReactorModelTest, MaxRequestsPerConnectionRotates) {
   server.Stop();
 }
 
-TEST_P(ReactorModelTest, ShedsWith503AndRetryAfterWhenSaturated) {
-  HttpServerOptions options = Options();
+TEST(ReactorContractTest, ShedsWith503AndRetryAfterWhenSaturated) {
+  HttpServerOptions options;
   options.worker_threads = 1;
   options.accept_queue_capacity = 1;
   std::atomic<bool> release{false};
@@ -325,8 +302,8 @@ TEST_P(ReactorModelTest, ShedsWith503AndRetryAfterWhenSaturated) {
   server.Stop();
 }
 
-TEST_P(ReactorModelTest, StalledRequestGets408) {
-  HttpServerOptions options = Options();
+TEST(ReactorContractTest, StalledRequestGets408) {
+  HttpServerOptions options;
   options.read_timeout_ms = 150;
   options.idle_timeout_ms = 2000;
   HttpServer server([](const HttpRequest&) { return HttpResponse::Ok("x"); },
@@ -341,8 +318,8 @@ TEST_P(ReactorModelTest, StalledRequestGets408) {
   server.Stop();
 }
 
-TEST_P(ReactorModelTest, IdleConnectionIsReapedQuietly) {
-  HttpServerOptions options = Options();
+TEST(ReactorContractTest, IdleConnectionIsReapedQuietly) {
+  HttpServerOptions options;
   options.idle_timeout_ms = 120;
   HttpServer server([](const HttpRequest&) { return HttpResponse::Ok("x"); },
                     options);
@@ -356,15 +333,14 @@ TEST_P(ReactorModelTest, IdleConnectionIsReapedQuietly) {
   server.Stop();
 }
 
-TEST_P(ReactorModelTest, GracefulDrainFinishesInFlightRequest) {
+TEST(ReactorContractTest, GracefulDrainFinishesInFlightRequest) {
   std::atomic<bool> handler_entered{false};
   HttpServer server(
       [&](const HttpRequest&) {
         handler_entered.store(true);
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         return HttpResponse::Ok("finished");
-      },
-      Options());
+      });
   ASSERT_TRUE(server.Start().ok());
   std::thread in_flight([&, port = server.port()] {
     HttpClient client("127.0.0.1", port);
@@ -380,13 +356,6 @@ TEST_P(ReactorModelTest, GracefulDrainFinishesInFlightRequest) {
   in_flight.join();
   EXPECT_EQ(server.requests_served(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothModels, ReactorModelTest,
-    ::testing::Values(ReactorModel::kEpoll, ReactorModel::kThreadPool),
-    [](const ::testing::TestParamInfo<ReactorModel>& info) {
-      return std::string(ReactorModelName(info.param));
-    });
 
 }  // namespace
 }  // namespace netmark::server

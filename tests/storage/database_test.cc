@@ -52,6 +52,11 @@ TEST(DatabaseTest, PersistsTablesRowsAndIndexesAcrossReopen) {
     auto id = (*table)->Insert({Value::Int(1), Value::Str("IBPD budget")});
     ASSERT_TRUE(id.ok());
     saved = *id;
+    // Commit point: the insert becomes the latest published version.
+    (*db)->PublishVersions();
+    auto row = (*table)->Get(saved);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ((*row)[1].AsStr(), "IBPD budget");
     ASSERT_TRUE((*db)->Flush().ok());
   }
   {

@@ -33,9 +33,13 @@ class PagerTest : public ::testing::Test {
     f.seekp(static_cast<std::streamoff>(offset));
     f.write(&c, 1);
   }
+  // Commit point: publishes the pager's dirty working copies under the next
+  // epoch, so Flush (and the destructor) write them and readers see them.
+  void Publish(Pager& pager) { pager.Publish(++epoch_); }
 
   std::unique_ptr<TempDir> dir_;
   std::string path_;
+  Epoch epoch_ = 0;
 };
 
 TEST_F(PagerTest, FreshFileHasNoPages) {
@@ -72,6 +76,7 @@ TEST_F(PagerTest, DirtyPagesPersistAcrossReopen) {
       page->Insert("page " + std::to_string(i));
       (*pager)->MarkDirty(*id);
     }
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   auto pager = Pager::Open(path_);
@@ -93,6 +98,7 @@ TEST_F(PagerTest, UnflushedChangesWrittenByDestructor) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("auto-flushed");
     (*pager)->MarkDirty(*id);
+    Publish(**pager);
     // no explicit Flush: the destructor must write back
   }
   auto pager = Pager::Open(path_);
@@ -107,6 +113,7 @@ TEST_F(PagerTest, ReadCountsTrackCacheMisses) {
     auto pager = Pager::Open(path_);
     ASSERT_TRUE(pager.ok());
     for (int i = 0; i < 3; ++i) ASSERT_TRUE((*pager)->Allocate().ok());
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ((*pager)->pages_written(), 3u);
     // Freshly allocated pages are cached: no reads.
@@ -137,6 +144,7 @@ TEST_F(PagerTest, ManyPagesSurviveRoundTrip) {
       page->Insert(payload);
       (*pager)->MarkDirty(*id);
     }
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   auto pager = Pager::Open(path_);
@@ -157,7 +165,7 @@ TEST_F(PagerTest, FlushPropagatesWriteErrorAndKeepsPageDirty) {
   spec.nth = 2;
   spec.sticky = false;
   FaultInjectingEnv env(spec);
-  auto pager = Pager::Open(path_, PagerOptions{&env, true});
+  auto pager = Pager::Open(path_, PagerOptions{&env});
   ASSERT_TRUE(pager.ok());
   for (int i = 0; i < 3; ++i) {
     auto id = (*pager)->Allocate();
@@ -166,6 +174,7 @@ TEST_F(PagerTest, FlushPropagatesWriteErrorAndKeepsPageDirty) {
     page->Insert("page " + std::to_string(i));
     (*pager)->MarkDirty(*id);
   }
+  Publish(**pager);
   netmark::Status st = (*pager)->Flush();
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_EQ(env.faults_injected(), 1u);
@@ -195,13 +204,14 @@ TEST_F(PagerTest, ShortWriteIsCompletedNotSilentlyTruncated) {
   spec.sticky = false;
   FaultInjectingEnv env(spec);
   {
-    auto pager = Pager::Open(path_, PagerOptions{&env, true});
+    auto pager = Pager::Open(path_, PagerOptions{&env});
     ASSERT_TRUE(pager.ok());
     auto id = (*pager)->Allocate();
     ASSERT_TRUE(id.ok());
     auto page = (*pager)->Fetch(*id);
     page->Insert("short write victim");
     (*pager)->MarkDirty(*id);
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ(env.faults_injected(), 1u);
   }
@@ -221,6 +231,7 @@ TEST_F(PagerTest, ChecksumRoundTripAcrossReopen) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("checksummed");
     (*pager)->MarkDirty(*id);
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   // The flushed bytes carry a valid trailer...
@@ -249,6 +260,7 @@ TEST_F(PagerTest, BitFlipQuarantinesPageOnRead) {
       page->Insert("page " + std::to_string(i));
       (*pager)->MarkDirty(*id);
     }
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(kPageSize + 100);  // one byte of page 1's record area
@@ -277,6 +289,7 @@ TEST_F(PagerTest, VerifyOnDiskQuarantinesUncachedCorruption) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("scrub target");
     (*pager)->MarkDirty(*id);
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(300);
@@ -304,6 +317,7 @@ TEST_F(PagerTest, VerifyOnDiskSelfHealsCachedCorruption) {
   auto page = (*pager)->Fetch(*id);
   page->Insert("healable");
   (*pager)->MarkDirty(*id);
+  Publish(**pager);
   ASSERT_TRUE((*pager)->Flush().ok());
 
   // Rot the on-disk copy while a clean copy is still cached: the scrubber
@@ -330,6 +344,7 @@ TEST_F(PagerTest, V0PageIsServedUnverified) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("legacy");
     (*pager)->MarkDirty(*id);
+    Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   // Rewrite the page as v0: clear the version byte and the trailer. A legacy
@@ -351,6 +366,51 @@ TEST_F(PagerTest, V0PageIsServedUnverified) {
   EXPECT_EQ(page->Get(0), "legacy");
   EXPECT_EQ(PageVersion(page->raw()), 0);
   EXPECT_EQ((*pager)->quarantined_count(), 0u);
+}
+
+TEST_F(PagerTest, UnpublishedWorkingCopyNeverReachesFile) {
+  // WAL-before-heap (docs/mvcc.md): only published versions are flushed, so
+  // an uncommitted edit or allocation stays out of the file even through an
+  // explicit Flush and the destructor's write-back.
+  {
+    auto pager = Pager::Open(path_);
+    ASSERT_TRUE(pager.ok());
+    auto id = (*pager)->Allocate();
+    ASSERT_TRUE(id.ok());
+    auto page = (*pager)->Fetch(*id);
+    ASSERT_TRUE(page.ok());
+    page->Insert("committed");
+    (*pager)->MarkDirty(*id);
+    Publish(**pager);
+    ASSERT_TRUE((*pager)->Flush().ok());
+
+    auto edit = (*pager)->Fetch(*id);
+    ASSERT_TRUE(edit.ok());
+    edit->Insert("uncommitted edit");
+    (*pager)->MarkDirty(*id);
+    auto born = (*pager)->Allocate();
+    ASSERT_TRUE(born.ok());
+    auto born_page = (*pager)->Fetch(*born);
+    ASSERT_TRUE(born_page.ok());
+    born_page->Insert("uncommitted page");
+    (*pager)->MarkDirty(*born);
+    ASSERT_TRUE((*pager)->Flush().ok());
+    EXPECT_EQ((*pager)->pages_written(), 1u);
+  }
+  std::ifstream f(path_, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), kPageSize);
+  EXPECT_NE(bytes.find("committed"), std::string::npos);
+  EXPECT_EQ(bytes.find("uncommitted"), std::string::npos);
+
+  auto pager = Pager::Open(path_);
+  ASSERT_TRUE(pager.ok());
+  EXPECT_EQ((*pager)->page_count(), 1u);
+  auto page = (*pager)->Fetch(0);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->slot_count(), 1);
+  EXPECT_EQ(page->Get(0), "committed");
 }
 
 TEST(PageFormatTest, TryUpgradeV1ShiftsRecordsAndPreservesContent) {

@@ -69,7 +69,7 @@ int Usage() {
                "storage flags (any command taking --data; also the [storage]\n"
                "INI section via --config): --wal on|off, --fsync\n"
                "commit|batch|none, --checkpoint-bytes N; INI-only:\n"
-               "page_checksums on|off, scrub_pages_per_sec N,\n"
+               "scrub_pages_per_sec N,\n"
                "on_fsync_error degrade|abort (docs/durability.md),\n"
                "mvcc_gc_interval_ms N, mvcc_max_retained_versions N\n"
                "(docs/mvcc.md)\n"
@@ -83,7 +83,7 @@ int Usage() {
                "trace_sample_rate 0..1, trace_store_capacity N,\n"
                "trace_slow_keep_ms N (docs/observability.md)\n"
                "serving knobs ([server] INI section via --config):\n"
-               "reactor epoll|threadpool, worker_threads N,\n"
+               "worker_threads N,\n"
                "accept_queue_capacity N, max_requests_per_connection N,\n"
                "idle_timeout_ms N, read_timeout_ms N (docs/serving.md)\n");
   return 2;
@@ -126,11 +126,6 @@ Status ApplyStorageFlags(const Args& args, storage::StorageOptions* storage) {
     storage->checkpoint_bytes = static_cast<uint64_t>(config.GetIntOr(
         "storage", "checkpoint_bytes",
         static_cast<int64_t>(storage->checkpoint_bytes)));
-    auto checksums = config.Get("storage", "page_checksums");
-    if (checksums.ok()) {
-      storage->page_checksums =
-          (*checksums != "off" && *checksums != "false" && *checksums != "0");
-    }
     storage->scrub_pages_per_sec = static_cast<int>(config.GetIntOr(
         "storage", "scrub_pages_per_sec", storage->scrub_pages_per_sec));
     // MVCC version lifecycle (docs/mvcc.md): GC cadence and the per-page
@@ -220,19 +215,13 @@ Status ApplyObservabilityFlags(const Args& args, NetmarkOptions* options) {
   return Status::OK();
 }
 
-// Serving knobs ([server] INI section via --config): reactor
-// epoll|threadpool plus the pool/queue/timeout sizing. Resolved before Open
-// so StartServer (serve command, tests through the CLI) picks the
-// connection model up without extra plumbing (docs/serving.md).
+// Serving knobs ([server] INI section via --config): the pool/queue/timeout
+// sizing. Resolved before Open so StartServer (serve command, tests through
+// the CLI) picks them up without extra plumbing (docs/serving.md).
 Status ApplyServerFlags(const Args& args, NetmarkOptions* options) {
   auto config_flag = args.flags.find("config");
   if (config_flag == args.flags.end()) return Status::OK();
   NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
-  auto reactor = config.Get("server", "reactor");
-  if (reactor.ok()) {
-    NETMARK_ASSIGN_OR_RETURN(options->http_server.reactor,
-                             server::ParseReactorModel(*reactor));
-  }
   server::HttpServerOptions& http = options->http_server;
   http.worker_threads = static_cast<int>(
       config.GetIntOr("server", "worker_threads", http.worker_threads));
@@ -395,14 +384,8 @@ int CmdServe(const Args& args) {
   }
   Status st = (*nm)->StartServer(port);
   if (!st.ok()) return Fail(st.ToString());
-  std::printf("NETMARK serving on http://127.0.0.1:%u  [reactor=%.*s]"
-              "  (Ctrl-C to stop)\n",
-              (*nm)->server_port(),
-              static_cast<int>(
-                  server::ReactorModelName((*nm)->http_server_options().reactor)
-                      .size()),
-              server::ReactorModelName((*nm)->http_server_options().reactor)
-                  .data());
+  std::printf("NETMARK serving on http://127.0.0.1:%u  (Ctrl-C to stop)\n",
+              (*nm)->server_port());
 
   static volatile std::sig_atomic_t stop_requested = 0;
   std::signal(SIGINT, [](int) { stop_requested = 1; });

@@ -11,10 +11,10 @@
 # /metrics carries at least one histogram exemplar, and that the
 # `netmark traces` CLI renders the flame view.
 #
-# Both instances run with an explicit `[server] reactor = epoll` config, so
-# the whole mediator+remote topology is exercised through the epoll reactor
-# (the INI knob path included), and the scrape asserts the reactor gauges
-# (netmark_http_server_open_connections, _epoll_wakeups_total) are exported.
+# Both instances run with a `[server]` config that sets a non-default worker
+# count, so the INI knob path is exercised end to end, and the scrape
+# asserts the reactor gauges (netmark_http_server_open_connections,
+# _epoll_wakeups_total) are exported.
 #
 # Usage: tools/smoke_observability.sh [path/to/netmark] [port]
 set -euo pipefail
@@ -50,11 +50,10 @@ mkdir -p "${WORK}/data" "${WORK}/drop" "${WORK}/remote-data" "${WORK}/remote-dro
 printf 'OVERVIEW\nsmoke engine nominal\n' > "${WORK}/drop/memo.txt"
 printf 'OVERVIEW\nremote thruster anomaly\n' > "${WORK}/remote-drop/anomaly.txt"
 
-# Pin the connection model explicitly so this smoke keeps covering the
-# epoll reactor (INI plumbing included) even if the default ever changes.
+# A non-default pool size: the pool gauge proves the INI reached the server.
 cat > "${WORK}/server.ini" <<EOF
 [server]
-reactor = epoll
+worker_threads = 3
 EOF
 
 # Second instance: the remote half of the federated hop.
@@ -191,7 +190,9 @@ grep -q '^# TYPE netmark_http_server_open_connections gauge' \
 grep -q '^netmark_http_server_open_connections [1-9]' "${WORK}/metrics.txt" ||
   fail "open-connections gauge not exported or zero during a live scrape"
 grep -q '^netmark_http_server_epoll_wakeups_total [1-9]' "${WORK}/metrics.txt" ||
-  fail "epoll wakeup counter not exported or zero under reactor=epoll"
+  fail "epoll wakeup counter not exported or zero"
+grep -q '^netmark_http_pool_threads 3$' "${WORK}/metrics.txt" ||
+  fail "[server] worker_threads from --config did not reach the pool gauge"
 # MVCC gauges (docs/mvcc.md): version retention, GC watermark, reclaim work.
 grep -q '^netmark_mvcc_versions_retained ' "${WORK}/metrics.txt" ||
   fail "missing netmark_mvcc_versions_retained gauge"
