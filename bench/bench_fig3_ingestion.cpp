@@ -205,83 +205,65 @@ void PrintPipelineReport() {
   std::printf("shape check: identical doc-id assignment at every worker count "
               "(writer commits in sorted-filename order).\n");
 
-  // Durability cost: one sweep over the same corpus under each WAL mode,
-  // plus the redo-recovery time for the strongest mode (crash simulated by
+  // Durability cost: one sweep over the same corpus with every commit
+  // logged and fsynced, plus the redo-recovery time (crash simulated by
   // copying the live directory before any clean close).
-  std::printf("\n-- durability: WAL fsync policy vs ingest cost --\n");
+  std::printf("\n-- durability: WAL commit cost and recovery --\n");
   std::printf("%10s %10s %14s %16s %16s\n", "wal", "docs", "docs/sec",
               "commit_p50_us", "wal_bytes");
   const size_t kWalDocs = 120;
   auto wal_corpus = workload::CorpusGenerator(55).MixedCorpus(kWalDocs);
-  struct WalMode {
-    const char* name;
-    bool enabled;
-    storage::WalFsyncPolicy policy;
-  };
-  const WalMode kModes[] = {
-      {"off", false, storage::WalFsyncPolicy::kNone},
-      {"none", true, storage::WalFsyncPolicy::kNone},
-      {"batch", true, storage::WalFsyncPolicy::kBatch},
-      {"commit", true, storage::WalFsyncPolicy::kCommit},
-  };
-  for (const WalMode& mode : kModes) {
-    auto mdir = bench::Unwrap(TempDir::Make("fig3wal"), "dir");
-    NetmarkOptions mopts;
-    mopts.data_dir = mdir.Sub("data").string();
-    mopts.storage.wal_enabled = mode.enabled;
-    mopts.storage.wal_fsync = mode.policy;
-    auto mnm = bench::Unwrap(Netmark::Open(mopts), "open");
-    std::filesystem::path mdrop = mdir.Sub("drop");
-    std::filesystem::create_directories(mdrop);
-    for (const auto& doc : wal_corpus) {
-      bench::Check(WriteFile(mdrop / doc.file_name, doc.content), "write");
-    }
-    server::IngestionDaemon mdaemon(mnm->store(), &mnm->converters(),
-                                    SweepOptions(mdrop, 1));
-    Stopwatch mwatch;
-    int ok = bench::Unwrap(mdaemon.ProcessOnce(), "sweep");
-    double msec = mwatch.ElapsedSeconds();
-    double rate = static_cast<double>(ok) / msec;
-
-    double commit_p50 = 0;
-    uint64_t wal_bytes = 0;
-    auto snap = mnm->metrics()->Collect();
-    for (const auto& h : snap.histograms) {
-      if (h.name == "netmark_wal_commit_micros") commit_p50 = h.p50;
-    }
-    for (const auto& c : snap.counters) {
-      if (c.name == "netmark_wal_bytes_appended_total") wal_bytes = c.value;
-    }
-    std::printf("%10s %10d %14.0f %16.0f %16llu\n", mode.name, ok, rate,
-                commit_p50, static_cast<unsigned long long>(wal_bytes));
-    json.Emit(std::string("wal_") + mode.name, static_cast<double>(ok),
-              msec * 1e9 / static_cast<double>(ok), rate, "docs/sec");
-
-    if (mode.enabled && mode.policy == storage::WalFsyncPolicy::kCommit) {
-      // SIGKILL-shaped crash: copy the directory while the store is live
-      // (heaps unflushed, log full), then time the reopen's redo pass.
-      std::filesystem::path crash = mdir.Sub("crashed");
-      std::filesystem::copy(mopts.data_dir, crash,
-                            std::filesystem::copy_options::recursive);
-      auto revived = bench::Unwrap(
-          xmlstore::XmlStore::Open(crash.string()), "recovery open");
-      const storage::RecoveryStats& rec = revived->database()->recovery_stats();
-      std::printf("recovery: %llu committed txns, %llu pages in %.1f ms "
-                  "(%llu docs recovered)\n",
-                  static_cast<unsigned long long>(rec.committed_txns),
-                  static_cast<unsigned long long>(rec.pages_applied),
-                  static_cast<double>(rec.micros) / 1000.0,
-                  static_cast<unsigned long long>(revived->document_count()));
-      json.Emit("recovery", static_cast<double>(rec.pages_applied),
-                static_cast<double>(rec.micros) * 1000.0,
-                rec.micros > 0 ? static_cast<double>(rec.pages_applied) * 1e6 /
-                                     static_cast<double>(rec.micros)
-                               : 0,
-                "pages/sec");
-    }
+  auto mdir = bench::Unwrap(TempDir::Make("fig3wal"), "dir");
+  NetmarkOptions mopts;
+  mopts.data_dir = mdir.Sub("data").string();
+  auto mnm = bench::Unwrap(Netmark::Open(mopts), "open");
+  std::filesystem::path mdrop = mdir.Sub("drop");
+  std::filesystem::create_directories(mdrop);
+  for (const auto& doc : wal_corpus) {
+    bench::Check(WriteFile(mdrop / doc.file_name, doc.content), "write");
   }
-  std::printf("shape check: wal=commit stays within ~2x of wal=off on this "
-              "corpus; recovery replays the whole unflushed log.\n");
+  server::IngestionDaemon mdaemon(mnm->store(), &mnm->converters(),
+                                  SweepOptions(mdrop, 1));
+  Stopwatch mwatch;
+  int mok = bench::Unwrap(mdaemon.ProcessOnce(), "sweep");
+  double msec = mwatch.ElapsedSeconds();
+  double mrate = static_cast<double>(mok) / msec;
+
+  double commit_p50 = 0;
+  uint64_t wal_bytes = 0;
+  auto snap = mnm->metrics()->Collect();
+  for (const auto& h : snap.histograms) {
+    if (h.name == "netmark_wal_commit_micros") commit_p50 = h.p50;
+  }
+  for (const auto& c : snap.counters) {
+    if (c.name == "netmark_wal_bytes_appended_total") wal_bytes = c.value;
+  }
+  std::printf("%10s %10d %14.0f %16.0f %16llu\n", "commit", mok, mrate,
+              commit_p50, static_cast<unsigned long long>(wal_bytes));
+  json.Emit("wal_commit", static_cast<double>(mok),
+            msec * 1e9 / static_cast<double>(mok), mrate, "docs/sec");
+
+  // SIGKILL-shaped crash: copy the directory while the store is live
+  // (heaps unflushed, log full), then time the reopen's redo pass.
+  std::filesystem::path crash = mdir.Sub("crashed");
+  std::filesystem::copy(mopts.data_dir, crash,
+                        std::filesystem::copy_options::recursive);
+  auto revived = bench::Unwrap(
+      xmlstore::XmlStore::Open(crash.string()), "recovery open");
+  const storage::RecoveryStats& rec = revived->database()->recovery_stats();
+  std::printf("recovery: %llu committed txns, %llu pages in %.1f ms "
+              "(%llu docs recovered)\n",
+              static_cast<unsigned long long>(rec.committed_txns),
+              static_cast<unsigned long long>(rec.pages_applied),
+              static_cast<double>(rec.micros) / 1000.0,
+              static_cast<unsigned long long>(revived->document_count()));
+  json.Emit("recovery", static_cast<double>(rec.pages_applied),
+            static_cast<double>(rec.micros) * 1000.0,
+            rec.micros > 0 ? static_cast<double>(rec.pages_applied) * 1e6 /
+                                 static_cast<double>(rec.micros)
+                           : 0,
+            "pages/sec");
+  std::printf("shape check: recovery replays the whole unflushed log.\n");
 
   // Final snapshot of the first sweep's daemon registry (ingest counters +
   // prepare/insert histograms) into BENCH_fig3_ingestion.json.

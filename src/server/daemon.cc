@@ -82,8 +82,7 @@ void IngestionDaemon::Loop() {
       // recovers instantly and the log does not sit un-truncated overnight.
       // A degraded (read-only) store cannot checkpoint; retrying every poll
       // would only spam the log, so wait for an operator restart instead.
-      const storage::Wal* wal = store_->database()->wal();
-      if (wal != nullptr && wal->size_bytes() > 0 && !store_->degraded()) {
+      if (store_->database()->wal()->size_bytes() > 0 && !store_->degraded()) {
         netmark::Status st = store_->Checkpoint();
         if (!st.ok()) {
           NETMARK_LOG(Warning) << "idle checkpoint failed: " << st;
@@ -206,14 +205,10 @@ bool IngestionDaemon::CommitFile(const fs::path& path, PreparedFile result,
     NETMARK_LOG(Warning) << "failed to ingest " << path.string() << ": " << st;
   }
   std::error_code ec;
-  if (options_.keep_processed) {
-    fs::path target_dir = options_.drop_dir / (st.ok() ? "processed" : "failed");
-    fs::create_directories(target_dir, ec);
-    fs::rename(path, target_dir / path.filename(), ec);
-    if (ec) fs::remove(path, ec);
-  } else {
-    fs::remove(path, ec);
-  }
+  fs::path target_dir = options_.drop_dir / (st.ok() ? "processed" : "failed");
+  fs::create_directories(target_dir, ec);
+  fs::rename(path, target_dir / path.filename(), ec);
+  if (ec) fs::remove(path, ec);
   return st.ok();
 }
 
@@ -221,10 +216,6 @@ netmark::Result<int> IngestionDaemon::ProcessOnce(observability::Trace* trace,
                                                   int parent_span) {
   std::lock_guard<std::mutex> lock(sweep_mu_);
   observability::ScopedSpan sweep(trace, "sweep", parent_span);
-  // Storage spans recorded below the store's API surface (FinishSweep's
-  // batch WAL fsync) land under "sweep" via the thread-local binding;
-  // CommitFile narrows it to the per-file "insert" span.
-  observability::ThreadTraceScope thread_trace(trace, sweep.id());
   std::vector<fs::path> pending = CollectStable();
   sweep.Annotate("files", std::to_string(pending.size()));
   if (pending.empty()) return 0;
@@ -245,7 +236,6 @@ netmark::Result<int> IngestionDaemon::ProcessOnce(observability::Trace* trace,
       }
     }
     sweep.Annotate("ingested", std::to_string(count));
-    FinishSweep(count);
     return count;
   }
 
@@ -299,16 +289,7 @@ netmark::Result<int> IngestionDaemon::ProcessOnce(observability::Trace* trace,
   }
   for (std::thread& t : pool) t.join();
   sweep.Annotate("ingested", std::to_string(count));
-  FinishSweep(count);
   return count;
-}
-
-void IngestionDaemon::FinishSweep(int committed) {
-  if (committed <= 0) return;
-  // Group commit: with `wal_fsync = batch` the whole sweep's transactions
-  // share this one fsync; with `commit` or `none` this is a no-op.
-  netmark::Status st = store_->SyncWal();
-  if (!st.ok()) NETMARK_LOG(Warning) << "wal batch sync failed: " << st;
 }
 
 }  // namespace netmark::server

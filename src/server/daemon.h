@@ -44,9 +44,6 @@ struct DaemonOptions {
   std::filesystem::path drop_dir;
   /// Poll period for the background thread.
   std::chrono::milliseconds poll_interval{200};
-  /// Move ingested files into drop_dir/processed (failures to drop_dir/failed)
-  /// instead of deleting them.
-  bool keep_processed = true;
   /// Upmark/parse worker threads per sweep. 0 = hardware_concurrency.
   /// 1 runs the same prepare/commit code inline (no threads) — output is
   /// identical either way.
@@ -142,9 +139,6 @@ class IngestionDaemon {
   /// Commits one worker result and moves the source file (writer stage).
   bool CommitFile(const std::filesystem::path& path, PreparedFile result,
                   observability::Trace* trace, int parent_span);
-  /// End-of-sweep group commit: one WAL fsync covering every transaction the
-  /// sweep committed (only does I/O under `wal_fsync = batch`).
-  void FinishSweep(int committed);
   void Loop();
 
   xmlstore::XmlStore* store_;

@@ -387,7 +387,6 @@ HttpResponse NetmarkService::HandleHealthz() {
   }
 
   const storage::Database* db = store_->database();
-  const storage::Wal* wal = db->wal();
   const storage::RecoveryStats& rec = db->recovery_stats();
   // Disk-fault posture: read-only degradation and the quarantine inventory
   // (checksum-failed pages and the documents they took with them).
@@ -400,11 +399,8 @@ HttpResponse NetmarkService::HandleHealthz() {
       ",\"scrub_errors_found\":" + std::to_string(store_->scrub_errors_found()) +
       ",\"scrub_passes\":" + std::to_string(store_->scrub_passes()) + "}";
   std::string storage_json =
-      std::string("{\"wal_enabled\":") + (wal != nullptr ? "true" : "false") +
-      ",\"wal_fsync\":\"" +
-      std::string(storage::WalFsyncPolicyName(db->options().wal_fsync)) +
-      "\",\"wal_size_bytes\":" +
-      std::to_string(wal != nullptr ? wal->size_bytes() : 0) +
+      std::string("{\"wal_size_bytes\":") +
+      std::to_string(db->wal()->size_bytes()) +
       ",\"last_checkpoint_lsn\":" + std::to_string(db->last_checkpoint_lsn()) +
       ",\"checkpoints\":" + std::to_string(db->checkpoints()) +
       ",\"degraded\":" + (store_degraded ? "true" : "false") +

@@ -1,7 +1,5 @@
 #include "storage/database.h"
 
-#include <unistd.h>
-
 #include <filesystem>
 
 #include "common/string_util.h"
@@ -20,15 +18,12 @@ netmark::Result<std::unique_ptr<Database>> Database::Open(
                                     ec.message());
   }
   std::unique_ptr<Database> db(new Database(dir, options));
-  if (options.wal_enabled) {
-    // Replay a crashed predecessor's committed transactions into the heap
-    // files BEFORE any table is opened (Table::Open scans pages to rebuild
-    // its B-trees, so it must see post-recovery bytes).
-    NETMARK_ASSIGN_OR_RETURN(db->recovery_,
-                             RecoverDatabase(dir, db->WalPath(), options.env));
-    NETMARK_ASSIGN_OR_RETURN(
-        db->wal_, Wal::Open(db->WalPath(), options.wal_fsync, options.env));
-  }
+  // Replay a crashed predecessor's committed transactions into the heap
+  // files BEFORE any table is opened (Table::Open scans pages to rebuild
+  // its B-trees, so it must see post-recovery bytes).
+  NETMARK_ASSIGN_OR_RETURN(db->recovery_,
+                           RecoverDatabase(dir, db->WalPath(), options.env));
+  NETMARK_ASSIGN_OR_RETURN(db->wal_, Wal::Open(db->WalPath(), options.env));
   NETMARK_ASSIGN_OR_RETURN(db->catalog_,
                            Catalog::Load(db->CatalogPath(), options.env));
   for (const TableDef& def : db->catalog_.tables()) {
@@ -54,7 +49,7 @@ netmark::Result<std::unique_ptr<Database>> Database::Open(
   return db;
 }
 
-Database::~Database() { (void)Flush(); }
+Database::~Database() { (void)Checkpoint(); }
 
 std::string Database::TableFilePath(std::string_view table) const {
   return (fs::path(dir_) / (std::string(table) + ".heap")).string();
@@ -135,11 +130,6 @@ netmark::Status Database::DegradedError() const {
 }
 
 void Database::MarkDegraded(const netmark::Status& cause) {
-  if (options_.abort_on_fsync_error) {
-    // Fail-stop policy: die before any state that contradicts the failed
-    // write can be observed. _exit, not abort — no atexit flushing.
-    ::_exit(42);
-  }
   std::lock_guard<std::mutex> lock(degraded_mu_);
   if (!degraded_.load(std::memory_order_relaxed)) {
     degraded_reason_ = cause.ToString();
@@ -150,7 +140,6 @@ void Database::MarkDegraded(const netmark::Status& cause) {
 
 netmark::Status Database::BeginTransaction() {
   if (degraded()) return DegradedError();
-  if (wal_ == nullptr) return netmark::Status::OK();
   if (in_txn_) {
     return netmark::Status::Internal("transaction already open");
   }
@@ -159,7 +148,6 @@ netmark::Status Database::BeginTransaction() {
 }
 
 netmark::Status Database::CommitTransaction() {
-  if (wal_ == nullptr) return degraded() ? DegradedError() : netmark::Status::OK();
   if (!in_txn_) {
     return netmark::Status::Internal("no transaction open");
   }
@@ -185,7 +173,6 @@ netmark::Status Database::CommitTransaction() {
 }
 
 void Database::AbandonTransaction() {
-  if (wal_ == nullptr) return;
   in_txn_ = false;
   wal_->DiscardStaged();
   // Dirty-since-mark state intentionally survives: the abandoned pages hold
@@ -194,7 +181,7 @@ void Database::AbandonTransaction() {
 }
 
 bool Database::ShouldCheckpoint() const {
-  return wal_ != nullptr && wal_->size_bytes() >= options_.checkpoint_bytes;
+  return wal_->size_bytes() >= options_.checkpoint_bytes;
 }
 
 netmark::Status Database::StagePendingAndUpgrades() {
@@ -236,7 +223,6 @@ netmark::Status Database::StagePendingAndUpgrades() {
 }
 
 netmark::Status Database::Checkpoint() {
-  if (wal_ == nullptr) return Flush();
   if (degraded()) return DegradedError();
   if (in_txn_) {
     return netmark::Status::Internal(
@@ -307,24 +293,6 @@ uint64_t Database::versions_reclaimed() const {
     total += table->pager().versions_reclaimed();
   }
   return total;
-}
-
-netmark::Status Database::SyncWal() {
-  if (wal_ == nullptr) return netmark::Status::OK();
-  if (degraded()) return DegradedError();
-  netmark::Status st = wal_->BatchSync();
-  if (!st.ok()) MarkDegraded(st);
-  return st;
-}
-
-netmark::Status Database::Flush() {
-  if (wal_ != nullptr && !in_txn_) return Checkpoint();
-  for (auto& [name, table] : tables_) {
-    NETMARK_RETURN_NOT_OK(table->Flush());
-  }
-  NETMARK_RETURN_NOT_OK(catalog_.Save(CatalogPath(), options_.env));
-  netmark::Env* env = options_.env != nullptr ? options_.env : netmark::Env::Default();
-  return env->WriteFileAtomic(DdlCounterPath(), std::to_string(ddl_statements_));
 }
 
 }  // namespace netmark::storage

@@ -5,11 +5,11 @@
 // regardless of what documents arrive, while schema-centric stores pay DDL
 // per document type. Benchmarks read this counter.
 //
-// Durability (docs/durability.md): with the write-ahead log enabled
-// (default), mutations bracketed by Begin/CommitTransaction become crash
-// atomic — commit stages every dirty page image on the log before any heap
-// write, Checkpoint() flushes + fsyncs the heap files and truncates the log,
-// and Open() replays committed log records automatically after a crash.
+// Durability (docs/durability.md): mutations bracketed by
+// Begin/CommitTransaction are crash atomic — commit stages every dirty page
+// image on the log and fsyncs it before any heap write, Checkpoint() flushes
+// + fsyncs the heap files and truncates the log, and Open() replays
+// committed log records automatically after a crash.
 
 #ifndef NETMARK_STORAGE_DATABASE_H_
 #define NETMARK_STORAGE_DATABASE_H_
@@ -32,11 +32,6 @@ namespace netmark::storage {
 
 /// Durability knobs (the `[storage]` INI section maps onto this).
 struct StorageOptions {
-  /// Write-ahead logging + crash recovery. Off = the pre-WAL behavior:
-  /// pages persist only on Flush/close, a crash can tear the tables.
-  bool wal_enabled = true;
-  /// When the log is fsynced (commit | batch | none).
-  WalFsyncPolicy wal_fsync = WalFsyncPolicy::kCommit;
   /// Log size that triggers an automatic checkpoint (bytes).
   uint64_t checkpoint_bytes = 64ull << 20;
   /// File I/O environment for every storage file (heap, log, catalog);
@@ -46,10 +41,6 @@ struct StorageOptions {
   /// Background CRC scrub rate (pages/second; 0 disables the scrubber).
   /// Enforced by the XML store, which owns the scrubber thread.
   int scrub_pages_per_sec = 0;
-  /// `[storage] on_fsync_error = abort`: _exit the process on the first
-  /// failed WAL/heap fsync instead of degrading to read-only (fail-stop for
-  /// operators who prefer a supervisor restart over a limping store).
-  bool abort_on_fsync_error = false;
   /// `[storage] mvcc_gc_interval_ms`: background version-GC cadence.
   /// Enforced by the XML store, which owns the GC thread.
   int mvcc_gc_interval_ms = 50;
@@ -88,13 +79,13 @@ class Database {
 
   std::vector<std::string> TableNames() const;
 
-  // --- Transactions (crash atomicity; no-ops when the WAL is disabled) ---
+  // --- Transactions (crash atomicity) -------------------------------------
 
   /// Opens a commit scope. Mutations until CommitTransaction() become
   /// durable atomically. Fails if a transaction is already open.
   netmark::Status BeginTransaction();
   /// Stages every page dirtied during the transaction on the log, appends a
-  /// commit record, and fsyncs per the configured policy.
+  /// commit record, and fsyncs it.
   netmark::Status CommitTransaction();
   /// Abandons the open transaction: nothing reaches the log. In-memory
   /// mutations are NOT rolled back (redo-only log); the abandoned rows are
@@ -105,11 +96,10 @@ class Database {
   /// True when the log has grown past StorageOptions::checkpoint_bytes.
   bool ShouldCheckpoint() const;
   /// Flushes + fsyncs all heap files and the catalog, then truncates the
-  /// log. Refused while a transaction is open.
+  /// log. Refused while a transaction is open or the store is degraded;
+  /// the destructor calls it, and a refused close leaves recovery to replay
+  /// the log at the next Open.
   netmark::Status Checkpoint();
-  /// Group commit: fsyncs the log if the policy is kBatch (the ingestion
-  /// daemon calls this once per sweep).
-  netmark::Status SyncWal();
 
   // --- MVCC (docs/mvcc.md) -------------------------------------------------
 
@@ -155,22 +145,17 @@ class Database {
   /// The status mutations are rejected with while degraded.
   netmark::Status DegradedError() const;
 
-  /// The log (null when disabled) — metrics and tests read its counters.
+  /// The log — metrics and tests read its counters.
   const Wal* wal() const { return wal_.get(); }
   /// What recovery did at Open() (all zeros when the log was empty).
   const RecoveryStats& recovery_stats() const { return recovery_; }
   /// LSN the log had been truncated at during the last checkpoint.
   uint64_t last_checkpoint_lsn() const { return last_checkpoint_lsn_; }
   uint64_t checkpoints() const { return checkpoints_; }
-  const StorageOptions& options() const { return options_; }
 
   /// Number of DDL statements executed over this database's lifetime
   /// (persisted in the catalog directory; see Fig 5 benchmark).
   uint64_t ddl_statements() const { return ddl_statements_; }
-
-  /// Flushes all tables and the catalog. With the WAL enabled this is a full
-  /// Checkpoint() so close never strands log-only data.
-  netmark::Status Flush();
 
   const std::string& dir() const { return dir_; }
 
@@ -190,8 +175,7 @@ class Database {
             : 0;
     return po;
   }
-  /// Records the first failure that forces read-only mode (or aborts, per
-  /// the on_fsync_error policy).
+  /// Records the first failure that forces read-only mode.
   void MarkDegraded(const netmark::Status& cause);
   /// One-time v0→v1 page format upgrade pass + WAL staging of all pending
   /// dirty-since-mark images, run at the start of a checkpoint.
@@ -203,7 +187,7 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
   uint64_t ddl_statements_ = 0;
 
-  std::unique_ptr<Wal> wal_;  // null when wal_enabled is false
+  std::unique_ptr<Wal> wal_;
   RecoveryStats recovery_;
   uint64_t next_txn_id_ = 1;
   bool in_txn_ = false;

@@ -30,23 +30,6 @@ void Put64(std::string* out, uint64_t v) {
 
 }  // namespace
 
-netmark::Result<WalFsyncPolicy> ParseWalFsyncPolicy(std::string_view text) {
-  if (text == "commit") return WalFsyncPolicy::kCommit;
-  if (text == "batch") return WalFsyncPolicy::kBatch;
-  if (text == "none") return WalFsyncPolicy::kNone;
-  return netmark::Status::InvalidArgument(
-      "wal_fsync must be commit|batch|none, got '" + std::string(text) + "'");
-}
-
-const char* WalFsyncPolicyName(WalFsyncPolicy policy) {
-  switch (policy) {
-    case WalFsyncPolicy::kCommit: return "commit";
-    case WalFsyncPolicy::kBatch: return "batch";
-    case WalFsyncPolicy::kNone: return "none";
-  }
-  return "unknown";
-}
-
 netmark::Result<WalScan> Wal::ReadRecords(const std::string& path) {
   WalScan scan;
   int fd = ::open(path.c_str(), O_RDONLY);
@@ -144,7 +127,6 @@ netmark::Result<WalScan> Wal::ReadRecords(const std::string& path) {
 }
 
 netmark::Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                                WalFsyncPolicy policy,
                                                 netmark::Env* env) {
   if (env == nullptr) env = netmark::Env::Default();
   NETMARK_ASSIGN_OR_RETURN(WalScan scan, ReadRecords(path));
@@ -154,7 +136,7 @@ netmark::Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     NETMARK_RETURN_NOT_OK(
         file->Truncate(scan.valid_bytes).WithContext("truncate torn wal tail"));
   }
-  std::unique_ptr<Wal> wal(new Wal(path, std::move(file), policy));
+  std::unique_ptr<Wal> wal(new Wal(path, std::move(file)));
   wal->append_offset_ = scan.valid_bytes;
   wal->size_bytes_.store(scan.valid_bytes, std::memory_order_relaxed);
   if (!scan.records.empty()) {
@@ -216,12 +198,16 @@ netmark::Status Wal::AppendCommit(uint64_t txn_id) {
   commits_.fetch_add(1, std::memory_order_relaxed);
   staged_.clear();
   staged_records_ = 0;
-  unsynced_ = true;
   MaybeCrashPoint("wal_after_append");
-  if (policy_ == WalFsyncPolicy::kCommit) {
-    NETMARK_RETURN_NOT_OK(Sync());
-    MaybeCrashPoint("wal_after_commit_sync");
+  observability::ScopedSpan fsync_span(observability::CurrentThreadTrace(),
+                                       "wal_fsync", span.id());
+  netmark::Status st = file_->Sync();
+  if (!st.ok()) {
+    fsync_span.End(false, st.ToString());
+    return st;
   }
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  MaybeCrashPoint("wal_after_commit_sync");
   return netmark::Status::OK();
 }
 
@@ -230,26 +216,6 @@ void Wal::DiscardStaged() {
   // only require LSNs to be increasing, not dense.
   staged_.clear();
   staged_records_ = 0;
-}
-
-netmark::Status Wal::Sync() {
-  if (!unsynced_) return netmark::Status::OK();
-  observability::ScopedSpan span(observability::CurrentThreadTrace(),
-                                 "wal_fsync",
-                                 observability::CurrentThreadSpan());
-  netmark::Status st = file_->Sync();
-  if (!st.ok()) {
-    span.End(false, st.ToString());
-    return st;
-  }
-  unsynced_ = false;
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
-  return netmark::Status::OK();
-}
-
-netmark::Status Wal::BatchSync() {
-  if (policy_ != WalFsyncPolicy::kBatch) return netmark::Status::OK();
-  return Sync();
 }
 
 netmark::Status Wal::TruncateAll() {
@@ -263,7 +229,6 @@ netmark::Status Wal::TruncateAll() {
   NETMARK_RETURN_NOT_OK(file_->Sync());
   fsyncs_.fetch_add(1, std::memory_order_relaxed);
   size_bytes_.store(0, std::memory_order_relaxed);
-  unsynced_ = false;
   truncations_.fetch_add(1, std::memory_order_relaxed);
   MaybeCrashPoint("wal_after_truncate");
   return netmark::Status::OK();

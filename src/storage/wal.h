@@ -2,7 +2,7 @@
 //
 // Durability contract (docs/durability.md): a transaction's page images are
 // staged in memory and hit the log in ONE append at commit — followed by an
-// fsync per the configured policy. Pages reach the heap files only at
+// fsync before the commit returns. Pages reach the heap files only at
 // checkpoint, strictly after their images are on the log, so any crash
 // leaves either (a) a committed transaction fully reconstructible from the
 // log, or (b) an uncommitted transaction with zero bytes on disk. Recovery
@@ -33,17 +33,6 @@
 #include "storage/row_id.h"
 
 namespace netmark::storage {
-
-/// When the log is fsynced.
-enum class WalFsyncPolicy {
-  kCommit,  ///< fsync inside every commit (strongest; the default)
-  kBatch,   ///< fsync once per ingestion batch (group commit)
-  kNone,    ///< never fsync explicitly (OS decides; weakest)
-};
-
-/// Parses "commit" | "batch" | "none" (the `[storage] wal_fsync` INI value).
-netmark::Result<WalFsyncPolicy> ParseWalFsyncPolicy(std::string_view text);
-const char* WalFsyncPolicyName(WalFsyncPolicy policy);
 
 enum class WalRecordType : uint8_t {
   kPageImage = 1,
@@ -80,7 +69,6 @@ class Wal {
   /// to position the append offset after the last valid record (a torn tail
   /// is truncated away here). `env` defaults to Env::Default().
   static netmark::Result<std::unique_ptr<Wal>> Open(const std::string& path,
-                                                    WalFsyncPolicy policy,
                                                     netmark::Env* env = nullptr);
   ~Wal();
   Wal(const Wal&) = delete;
@@ -95,23 +83,16 @@ class Wal {
                       const uint8_t* image);
 
   /// Appends the staged images plus a commit record in a single write, then
-  /// fsyncs when the policy is kCommit.
+  /// fsyncs.
   netmark::Status AppendCommit(uint64_t txn_id);
 
   /// Drops staged, uncommitted images (transaction abandon).
   void DiscardStaged();
 
-  /// Unconditional fsync of appended-but-unsynced bytes.
-  netmark::Status Sync();
-  /// Group commit: fsync only under the kBatch policy (the ingestion daemon
-  /// calls this once per sweep).
-  netmark::Status BatchSync();
-
   /// Truncates the log to zero length after a checkpoint made the heap files
   /// durable. LSNs keep counting up across truncation.
   netmark::Status TruncateAll();
 
-  WalFsyncPolicy policy() const { return policy_; }
   const std::string& path() const { return path_; }
 
   /// Current log file size (appended bytes since last truncation).
@@ -127,20 +108,18 @@ class Wal {
   uint64_t truncations() const { return truncations_.load(std::memory_order_relaxed); }
 
  private:
-  Wal(std::string path, std::unique_ptr<netmark::File> file, WalFsyncPolicy policy)
-      : path_(std::move(path)), file_(std::move(file)), policy_(policy) {}
+  Wal(std::string path, std::unique_ptr<netmark::File> file)
+      : path_(std::move(path)), file_(std::move(file)) {}
 
   void EncodeRecord(uint64_t txn_id, WalRecordType type, std::string_view payload,
                     std::string* out);
 
   std::string path_;
   std::unique_ptr<netmark::File> file_;
-  WalFsyncPolicy policy_;
   uint64_t append_offset_ = 0;
   std::string staged_;        // encoded records awaiting the commit append
   uint64_t staged_records_ = 0;
   uint64_t next_lsn_ = 1;
-  bool unsynced_ = false;     // bytes appended since the last fsync
 
   std::atomic<uint64_t> size_bytes_{0};
   std::atomic<uint64_t> last_lsn_{0};

@@ -22,21 +22,6 @@ PreparedPostings PreparePostings(std::string_view text) {
   return out;
 }
 
-InvertedIndex::InvertedIndex(InvertedIndex&& other) noexcept
-    : postings_(std::move(other.postings_)), num_postings_(other.num_postings_) {
-  other.num_postings_ = 0;
-}
-
-InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
-  if (this != &other) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    postings_ = std::move(other.postings_);
-    num_postings_ = other.num_postings_;
-    other.num_postings_ = 0;
-  }
-  return *this;
-}
-
 void InvertedIndex::Add(DocKey key, std::string_view text) {
   AddPrepared(key, PreparePostings(text));
 }
@@ -194,19 +179,6 @@ std::vector<DocKey> InvertedIndex::MatchPrefix(std::string_view prefix) const {
     acc = std::move(merged);
   }
   return acc;
-}
-
-void InvertedIndex::Visit(
-    const std::function<void(const std::string&, const std::vector<Posting>&)>& fn)
-    const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [term, postings] : postings_) fn(term, postings);
-}
-
-void InvertedIndex::RestoreTerm(std::string term, std::vector<Posting> postings) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  num_postings_ += postings.size();
-  postings_.emplace(std::move(term), std::move(postings));
 }
 
 }  // namespace netmark::textindex

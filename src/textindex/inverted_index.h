@@ -10,7 +10,6 @@
 #define NETMARK_TEXTINDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <shared_mutex>
 #include <string>
@@ -47,24 +46,18 @@ PreparedPostings PreparePostings(std::string_view text);
 
 /// \brief In-memory positional inverted index with incremental add/remove.
 ///
-/// At store open the index is loaded from a token-validated snapshot
-/// (textindex/snapshot.h) when one is fresh, and rebuilt from the XML store
-/// otherwise — the store is always the durable copy.
+/// The index is never persisted: the XML store rebuilds it from its tables
+/// at every open, so the tables are its only durable copy.
 ///
 /// Thread safety: internally synchronized. The single writer (Add /
-/// AddPrepared / Remove / RestoreTerm) takes an internal lock exclusive;
-/// lookups and Visit take it shared, so MVCC snapshot readers may query
-/// while a commit mutates the index (docs/mvcc.md). Lookups are
+/// AddPrepared / Remove) takes an internal lock exclusive; lookups take it
+/// shared, so MVCC snapshot readers may query while a commit mutates the
+/// index (docs/mvcc.md). Lookups are
 /// writer-latest, not versioned — the query layer re-verifies every
 /// candidate row against the heap at its snapshot epoch.
 class InvertedIndex {
  public:
   InvertedIndex() = default;
-  /// Movable (store open replaces the index with a loaded snapshot). The
-  /// caller must quiesce both sides: the move itself is not synchronized
-  /// against concurrent readers of `other`.
-  InvertedIndex(InvertedIndex&& other) noexcept;
-  InvertedIndex& operator=(InvertedIndex&& other) noexcept;
   InvertedIndex(const InvertedIndex&) = delete;
   InvertedIndex& operator=(const InvertedIndex&) = delete;
 
@@ -104,14 +97,6 @@ class InvertedIndex {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return num_postings_;
   }
-
-  /// Visits every term with its postings list, in term order (snapshotting).
-  void Visit(const std::function<void(const std::string&,
-                                      const std::vector<Posting>&)>& fn) const;
-
-  /// Bulk-restores one term's postings (snapshot loading). The list must be
-  /// sorted by key and the term must not already exist.
-  void RestoreTerm(std::string term, std::vector<Posting> postings);
 
  private:
   /// Requires mu_ held (any mode).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <map>
@@ -75,20 +74,10 @@ netmark::Result<std::unique_ptr<XmlStore>> XmlStore::Open(
   store->owned_metrics_ = std::make_unique<observability::MetricsRegistry>();
   store->metrics_ = store->owned_metrics_.get();
   store->BindHandles();
-  store->snapshot_path_ = (std::filesystem::path(dir) / "textindex.snap").string();
   NETMARK_RETURN_NOT_OK(store->EnsureTables());
-  // Fast path: a fresh snapshot skips the full rebuild scan. Any doubt —
-  // missing, corrupt, or stale (row counts changed since it was written) —
-  // falls back to rebuilding from the tables, which are the durable truth.
-  auto snapshot =
-      textindex::LoadIndexSnapshot(store->snapshot_path_, store->CurrentToken());
-  if (snapshot.ok()) {
-    store->text_index_ = std::move(snapshot->index);
-    store->next_node_id_ = static_cast<int64_t>(snapshot->token.extra_a);
-    store->next_doc_id_ = static_cast<int64_t>(snapshot->token.extra_b);
-  } else {
-    NETMARK_RETURN_NOT_OK(store->RebuildTextIndex());
-  }
+  // The tables (plus the log recovery already replayed) are the only durable
+  // state: postings and id counters are always rebuilt from them.
+  NETMARK_RETURN_NOT_OK(store->RebuildTextIndex());
   store->last_commit_micros_.store(netmark::MonotonicMicros(),
                                    std::memory_order_relaxed);
   if (storage_options.mvcc_gc_interval_ms > 0) {
@@ -311,15 +300,6 @@ uint64_t XmlStore::ApplyPendingTextRemovals(storage::Epoch watermark) {
 }
 
 // --- Tables -----------------------------------------------------------------
-
-textindex::SnapshotToken XmlStore::CurrentToken() const {
-  textindex::SnapshotToken token;
-  token.a = xml_table_ == nullptr ? 0 : xml_table_->row_count();
-  token.b = doc_table_ == nullptr ? 0 : doc_table_->row_count();
-  token.extra_a = static_cast<uint64_t>(next_node_id_);
-  token.extra_b = static_cast<uint64_t>(next_doc_id_);
-  return token;
-}
 
 netmark::Status XmlStore::EnsureTables() {
   if (!db_->HasTable("XML")) {
@@ -723,11 +703,6 @@ netmark::Result<std::vector<RowId>> XmlStore::TextScanLookup(
   return out;
 }
 
-netmark::Status XmlStore::Flush() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  return CheckpointLocked();
-}
-
 netmark::Status XmlStore::Checkpoint() {
   std::lock_guard<std::mutex> lock(write_mu_);
   return CheckpointLocked();
@@ -735,12 +710,10 @@ netmark::Status XmlStore::Checkpoint() {
 
 netmark::Status XmlStore::CheckpointLocked() {
   observability::ScopedTimer timer(handles_.checkpoint_micros);
-  NETMARK_RETURN_NOT_OK(db_->Flush());  // full checkpoint when the WAL is on
+  NETMARK_RETURN_NOT_OK(db_->Checkpoint());
   handles_.checkpoints->Increment();
   PublishWalCounters();
-  // Best effort: a failed snapshot write is not fatal (the next Open simply
-  // rebuilds), but surface real I/O errors so operators notice.
-  return textindex::SaveIndexSnapshot(text_index_, CurrentToken(), snapshot_path_);
+  return netmark::Status::OK();
 }
 
 netmark::Status XmlStore::CommitTransactionLocked() {
@@ -759,13 +732,6 @@ netmark::Status XmlStore::CommitTransactionLocked() {
   // Size-triggered checkpoint: bounds both log growth and recovery time.
   if (db_->ShouldCheckpoint()) return CheckpointLocked();
   return netmark::Status::OK();
-}
-
-netmark::Status XmlStore::SyncWal() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  netmark::Status st = db_->SyncWal();
-  PublishWalCounters();
-  return st;
 }
 
 void XmlStore::ScrubBatch(int budget, size_t* table_idx,
@@ -805,7 +771,7 @@ void XmlStore::ScrubberLoop(int pages_per_sec) {
       });
     }
     if (scrub_stop_.load(std::memory_order_acquire)) return;
-    // Holding write_mu_ excludes Flush: no write can land between the
+    // Holding write_mu_ excludes Checkpoint: no write can land between the
     // disk read and the CRC check, so a mismatch is real disk rot.
     std::lock_guard<std::mutex> lock(write_mu_);
     ScrubBatch(batch, &table_idx, &next_page);
@@ -866,8 +832,7 @@ void XmlStore::BindHandles() {
   handles_.checkpoint_micros =
       metrics_->GetHistogram("netmark_checkpoint_micros");
   metrics_->SetCallbackGauge("netmark_wal_size_bytes", {}, [this] {
-    const storage::Wal* wal = db_->wal();
-    return wal == nullptr ? 0.0 : static_cast<double>(wal->size_bytes());
+    return static_cast<double>(db_->wal()->size_bytes());
   });
   metrics_->SetCallbackGauge("netmark_wal_last_checkpoint_lsn", {}, [this] {
     return static_cast<double>(db_->last_checkpoint_lsn());
@@ -930,7 +895,6 @@ void XmlStore::BindHandles() {
 
 void XmlStore::PublishWalCounters() {
   const storage::Wal* wal = db_->wal();
-  if (wal == nullptr) return;
   // Single-writer deltas: wal counters only advance under write_mu_, which
   // the caller holds.
   uint64_t bytes = wal->bytes_appended();

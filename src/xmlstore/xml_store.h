@@ -25,7 +25,6 @@
 #include "observability/metrics.h"
 #include "storage/database.h"
 #include "textindex/inverted_index.h"
-#include "textindex/snapshot.h"
 #include "textindex/text_query.h"
 #include "xml/dom.h"
 #include "xml/node_type_config.h"
@@ -39,7 +38,7 @@ namespace netmark::xmlstore {
 /// MVCC serving (docs/mvcc.md): the storage layer runs in multi-version
 /// mode — every commit publishes an immutable, epoch-tagged version set of
 /// its pages. Mutators (InsertDocument / InsertPrepared / DeleteDocument /
-/// Flush / Checkpoint) serialize on a plain writer mutex; readers never
+/// Checkpoint) serialize on a plain writer mutex; readers never
 /// touch it. BeginRead() pins the current commit epoch in a wait-free slot
 /// table and every read issued while the snapshot is held resolves pages,
 /// index candidates, and text hits as of that epoch — queries never observe
@@ -193,19 +192,11 @@ class XmlStore {
   storage::Database* database() { return db_.get(); }
   const storage::Database* database() const { return db_.get(); }
 
-  /// Flushes the tables and writes a text-index snapshot so the next Open
-  /// can skip the rebuild scan. With the WAL enabled this is a full
-  /// checkpoint (heap fsync + log truncation).
-  netmark::Status Flush();
-
-  /// Explicit checkpoint: Flush() plus wal/checkpoint metric accounting.
-  /// Triggered automatically when the log passes `checkpoint_bytes`, by the
-  /// daemon's idle sweep, and at close.
+  /// Checkpoint (heap fsync + log truncation) plus wal/checkpoint metric
+  /// accounting. Triggered automatically when the log passes
+  /// `checkpoint_bytes` and by the daemon's idle sweep; the database also
+  /// checkpoints when it closes.
   netmark::Status Checkpoint();
-
-  /// Group commit: fsyncs the log once for a whole ingestion batch (no-op
-  /// unless `wal_fsync = batch`). The daemon calls this at sweep end.
-  netmark::Status SyncWal();
 
   // --- MVCC version GC (docs/mvcc.md) -------------------------------------
 
@@ -314,7 +305,6 @@ class XmlStore {
 
   netmark::Status EnsureTables();
   netmark::Status RebuildTextIndex();
-  textindex::SnapshotToken CurrentToken() const;
   /// Insert body (write_mu_ held, transaction open).
   netmark::Result<int64_t> InsertPreparedLocked(const PreparedDocument& prepared);
   /// Delete body (write_mu_ held, transaction open).
@@ -382,7 +372,6 @@ class XmlStore {
   storage::Table* xml_table_ = nullptr;
   storage::Table* doc_table_ = nullptr;
   textindex::InvertedIndex text_index_;
-  std::string snapshot_path_;
   int64_t next_doc_id_ = 1;
   int64_t next_node_id_ = 1;
 

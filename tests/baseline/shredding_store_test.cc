@@ -103,7 +103,7 @@ TEST_F(ShreddingStoreTest, ReconstructMissingDocFails) {
 
 TEST_F(ShreddingStoreTest, PersistsAcrossReopen) {
   int64_t id = Insert("<memo><body>persist</body></memo>");
-  ASSERT_TRUE(store_->database()->Flush().ok());
+  ASSERT_TRUE(store_->database()->Checkpoint().ok());
   uint64_t ddl = store_->ddl_statements();
   store_.reset();
   auto reopened = ShreddingStore::Open(dir_->str());

@@ -149,7 +149,7 @@ TEST(DatabankConfigTest, EndToEndWithRealLocalStore) {
     xmlstore::DocumentInfo info;
     info.file_name = "d.xml";
     ASSERT_TRUE((*store)->InsertDocument(*doc, info).ok());
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
   }
   std::string config_text = "[source:disk]\nkind = local\npath = " +
                             dir->Sub("store").string() +

@@ -14,6 +14,9 @@ namespace {
 #ifndef NETMARK_BIN_PATH
 #define NETMARK_BIN_PATH "netmark"
 #endif
+#ifndef NETMARK_EXAMPLE_SERVER_INI
+#define NETMARK_EXAMPLE_SERVER_INI "examples/configs/server.example.ini"
+#endif
 
 struct CommandResult {
   int exit_code = -1;
@@ -104,6 +107,46 @@ TEST_F(CliTest, ErrorsAreReportedCleanly) {
   EXPECT_NE(RunCli("get --data " + data_ + " abc").exit_code, 0);  // bad id
   EXPECT_NE(RunCli("ingest --data " + data_ + " /no/such/file.txt").exit_code, 0);
   EXPECT_NE(RunCli("frobnicate").exit_code, 0);                 // unknown command
+}
+
+// --config is checked strictly: a key the CLI does not read, in a section
+// it owns, fails start-up with the section and key named.
+TEST_F(CliTest, RemovedConfigKeyFailsStart) {
+  auto ini = dir_->Sub("removed.ini");
+  ASSERT_TRUE(WriteFile(ini, "[storage]\nwal_fsync = none\n").ok());
+  CommandResult r = RunCli("ls --data " + data_ + " --config " + ini.string());
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("[storage]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("wal_fsync"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, UnknownConfigKeyFailsStart) {
+  auto ini = dir_->Sub("typo.ini");
+  ASSERT_TRUE(WriteFile(ini, "[query]\ncache_entires = 64\n").ok());
+  CommandResult r = RunCli("ls --data " + data_ + " --config " + ini.string());
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("[query]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("cache_entires"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, BadConfigIntegerFailsStart) {
+  auto negative = dir_->Sub("negative.ini");
+  ASSERT_TRUE(WriteFile(negative, "[query]\ncache_entries = -1\n").ok());
+  CommandResult r = RunCli("ls --data " + data_ + " --config " + negative.string());
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("cache_entries"), std::string::npos) << r.output;
+
+  auto unparsed = dir_->Sub("unparsed.ini");
+  ASSERT_TRUE(WriteFile(unparsed, "[storage]\ncheckpoint_bytes = 64MiB\n").ok());
+  r = RunCli("ls --data " + data_ + " --config " + unparsed.string());
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("checkpoint_bytes"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, ExampleServerConfigLoads) {
+  CommandResult r = RunCli("ls --data " + data_ + " --config " +
+                           std::string(NETMARK_EXAMPLE_SERVER_INI));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST_F(EndToEndTest, PersistsEverythingAcrossReopen) {
   auto doc = gen.Proposal(0);
   ASSERT_TRUE(nm_->IngestContent(doc.file_name, doc.content).ok());
   std::string data_dir = dir_->Sub("data").string();
-  ASSERT_TRUE(nm_->store()->Flush().ok());
+  ASSERT_TRUE(nm_->store()->Checkpoint().ok());
   nm_.reset();
 
   NetmarkOptions options;

@@ -22,7 +22,7 @@ TEST(SourceFactoryTest, LocalAndRemoteDeclarationsResolve) {
     auto nm = Netmark::Open(options);
     ASSERT_TRUE(nm.ok());
     ASSERT_TRUE((*nm)->IngestContent("a.txt", "ALPHA SECTION\nlocal words\n").ok());
-    ASSERT_TRUE((*nm)->store()->Flush().ok());
+    ASSERT_TRUE((*nm)->store()->Checkpoint().ok());
   }
   // A live server the config will reference.
   NetmarkOptions remote_options;

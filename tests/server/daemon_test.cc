@@ -144,14 +144,5 @@ TEST_F(DaemonTest, PerStageCountersTrackThePipeline) {
   EXPECT_GT(c.insert_ns, 0u);
 }
 
-TEST_F(DaemonTest, DeleteModeRemovesFiles) {
-  options_.keep_processed = false;
-  IngestionDaemon daemon(store_.get(), &converters_, options_);
-  Drop("gone.txt", "HEADING\nbye\n");
-  ASSERT_EQ(*daemon.ProcessOnce(), 1);
-  EXPECT_FALSE(std::filesystem::exists(options_.drop_dir / "gone.txt"));
-  EXPECT_FALSE(std::filesystem::exists(options_.drop_dir / "processed" / "gone.txt"));
-}
-
 }  // namespace
 }  // namespace netmark::server

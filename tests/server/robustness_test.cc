@@ -118,7 +118,7 @@ TEST(DegradedModeServingTest, FsyncFailureKeepsReadsServingAndReportsDegraded) {
     auto nm = Netmark::Open(options);
     ASSERT_TRUE(nm.ok());
     ASSERT_TRUE((*nm)->IngestContent("memo.txt", "OVERVIEW\nall good\n").ok());
-    ASSERT_TRUE((*nm)->store()->Flush().ok());
+    ASSERT_TRUE((*nm)->store()->Checkpoint().ok());
   }
 
   // Reopen with every fsync failing from the start.
@@ -130,7 +130,6 @@ TEST(DegradedModeServingTest, FsyncFailureKeepsReadsServingAndReportsDegraded) {
   NetmarkOptions options;
   options.data_dir = data_dir;
   options.storage.env = &env;
-  options.storage.wal_fsync = storage::WalFsyncPolicy::kCommit;
   auto nm = Netmark::Open(options);
   ASSERT_TRUE(nm.ok());
 

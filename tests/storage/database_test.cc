@@ -57,7 +57,7 @@ TEST(DatabaseTest, PersistsTablesRowsAndIndexesAcrossReopen) {
     auto row = (*table)->Get(saved);
     ASSERT_TRUE(row.ok());
     EXPECT_EQ((*row)[1].AsStr(), "IBPD budget");
-    ASSERT_TRUE((*db)->Flush().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   {
     auto db = Database::Open(dir->str());

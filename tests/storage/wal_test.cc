@@ -43,7 +43,7 @@ class WalTest : public ::testing::Test {
 
 TEST_F(WalTest, RoundTripCommittedTransactions) {
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     std::string a = Image(0xAA, 0), b = Image(0xBB, 1);
     (*wal)->StagePageImage(1, "XML", 0, reinterpret_cast<const uint8_t*>(a.data()));
@@ -73,7 +73,7 @@ TEST_F(WalTest, RoundTripCommittedTransactions) {
 TEST_F(WalTest, CrcCorruptedTailIsTruncatedNotReplayed) {
   uint64_t clean_size = 0;
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     std::string a = Image(0x11, 0);
     (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(a.data()));
@@ -100,7 +100,7 @@ TEST_F(WalTest, CrcCorruptedTailIsTruncatedNotReplayed) {
 
   // Reopening truncates the torn tail away and appends after it.
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     EXPECT_EQ((*wal)->size_bytes(), clean_size);
     std::string c = Image(0x33, 2);
@@ -118,7 +118,7 @@ TEST_F(WalTest, CrcCorruptedTailIsTruncatedNotReplayed) {
 
 TEST_F(WalTest, ShortTailIsTruncated) {
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     std::string a = Image(0x44, 0);
     (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(a.data()));
@@ -135,7 +135,7 @@ TEST_F(WalTest, ShortTailIsTruncated) {
 }
 
 TEST_F(WalTest, DiscardStagedWritesNothing) {
-  auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+  auto wal = Wal::Open(wal_path_);
   ASSERT_TRUE(wal.ok());
   std::string a = Image(0x55, 0);
   (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(a.data()));
@@ -145,7 +145,7 @@ TEST_F(WalTest, DiscardStagedWritesNothing) {
 }
 
 TEST_F(WalTest, LsnsKeepCountingAcrossTruncation) {
-  auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+  auto wal = Wal::Open(wal_path_);
   ASSERT_TRUE(wal.ok());
   std::string a = Image(0x66, 0);
   (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(a.data()));
@@ -172,7 +172,7 @@ class RecoveryTest : public WalTest {
 
 TEST_F(RecoveryTest, ReplaysCommittedSkipsUncommitted) {
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     std::string p0 = Image(0xA0, 0), p1 = Image(0xA1, 1);
     (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(p0.data()));
@@ -205,7 +205,7 @@ TEST_F(RecoveryTest, ReplaysCommittedSkipsUncommitted) {
 
 TEST_F(RecoveryTest, LaterImageOfSamePageWins) {
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     std::string v1 = Image(0xB1, 0), v2 = Image(0xB2, 0);
     (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(v1.data()));
@@ -220,7 +220,7 @@ TEST_F(RecoveryTest, LaterImageOfSamePageWins) {
 
 TEST_F(RecoveryTest, RecoveryIsIdempotent) {
   {
-    auto wal = Wal::Open(wal_path_, WalFsyncPolicy::kNone);
+    auto wal = Wal::Open(wal_path_);
     ASSERT_TRUE(wal.ok());
     std::string p0 = Image(0xC0, 0), p1 = Image(0xC1, 1);
     (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(p0.data()));

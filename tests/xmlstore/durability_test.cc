@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "common/temp_dir.h"
@@ -71,7 +72,7 @@ TEST_F(DurabilityTest, CommittedDocsSurviveCrashBeforeAnyCheckpoint) {
     auto doc = xml::ParseXml(Markup(i));
     expected.push_back(xml::Serialize(*doc));
   }
-  // No Flush, no clean close: the dir copy sees empty heaps + a full log.
+  // No checkpoint, no clean close: the dir copy sees empty heaps + a full log.
   std::string crashed = CrashCopy();
 
   std::unique_ptr<XmlStore> revived = OpenAt(crashed);
@@ -106,19 +107,49 @@ TEST_F(DurabilityTest, CrashMidDeleteRecoversAtomically) {
   EXPECT_TRUE(revived->Reconstruct(b).ok());
 }
 
-TEST_F(DurabilityTest, WalDisabledStillWorksWithoutDurability) {
-  storage::StorageOptions options;
-  options.wal_enabled = false;
+/// Index and id counters after a reopen must follow the rows, even when a
+/// replace keeps the tables' row counts exactly as they were at the last
+/// checkpoint (a WebDAV PUT over a document of the same shape).
+void ExpectReplacedDocumentIndexed(XmlStore* store, int64_t replaced_id) {
+  EXPECT_EQ(store->TextLookup("bravo").size(), 1u);
+  EXPECT_TRUE(store->TextLookup("alpha").empty());
+  EXPECT_EQ(store->document_count(), 1u);
+  auto doc = xml::ParseXml("<p>later words</p>");
+  ASSERT_TRUE(doc.ok());
+  DocumentInfo info;
+  info.file_name = "c.xml";
+  auto next = store->InsertDocument(*doc, info);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_GT(*next, replaced_id);
+  auto docs = store->ListDocuments();
+  ASSERT_TRUE(docs.ok());
+  std::set<int64_t> ids;
+  for (const DocRecord& rec : *docs) {
+    EXPECT_TRUE(ids.insert(rec.doc_id).second) << "duplicate doc id " << rec.doc_id;
+  }
+  EXPECT_EQ(ids.size(), 2u);
+}
+
+TEST_F(DurabilityTest, SameShapeReplaceIsReindexedAfterReopen) {
   std::string live = (dir_->path() / "store").string();
-  std::unique_ptr<XmlStore> store = OpenAt(live, options);
+  std::unique_ptr<XmlStore> store = OpenAt(live);
   ASSERT_NE(store, nullptr);
-  ASSERT_GT(Insert(store.get(), Markup(1), "a.xml"), 0);
-  EXPECT_EQ(store->database()->wal(), nullptr);
-  ASSERT_TRUE(store->Flush().ok());
-  store.reset();
-  std::unique_ptr<XmlStore> reopened = OpenAt(live, options);
+  int64_t a = Insert(store.get(), "<p>alpha words</p>", "a.xml");
+  ASSERT_TRUE(store->Checkpoint().ok());
+  ASSERT_TRUE(store->DeleteDocument(a).ok());
+  int64_t b = Insert(store.get(), "<p>bravo words</p>", "a.xml");
+  ASSERT_GT(b, a);
+  std::string crashed = CrashCopy();
+  store.reset();  // clean close
+
+  std::unique_ptr<XmlStore> reopened = OpenAt(live);
   ASSERT_NE(reopened, nullptr);
-  EXPECT_EQ(reopened->document_count(), 1u);
+  ExpectReplacedDocumentIndexed(reopened.get(), b);
+
+  std::unique_ptr<XmlStore> revived = OpenAt(crashed);
+  ASSERT_NE(revived, nullptr);
+  EXPECT_TRUE(revived->database()->recovery_stats().performed);
+  ExpectReplacedDocumentIndexed(revived.get(), b);
 }
 
 TEST_F(DurabilityTest, ConcurrentWriterAndCheckpointConsistent) {

@@ -136,7 +136,7 @@ TEST_F(StoreStressTest, InterleavedInsertDeleteKeepsStoreConsistent) {
     EXPECT_TRUE(store_->Reconstruct(id).ok());
   }
   // Reopen and re-verify (index rebuild path under churn).
-  ASSERT_TRUE(store_->Flush().ok());
+  ASSERT_TRUE(store_->Checkpoint().ok());
   std::string dir = dir_->str();
   store_.reset();
   auto reopened = XmlStore::Open(dir);

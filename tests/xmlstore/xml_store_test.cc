@@ -215,7 +215,7 @@ TEST_F(XmlStoreTest, SubtreeTextConcatenates) {
 
 TEST_F(XmlStoreTest, PersistsAcrossReopen) {
   int64_t id = Insert(kUpmarked, "persist.xml");
-  ASSERT_TRUE(store_->Flush().ok());
+  ASSERT_TRUE(store_->Checkpoint().ok());
   OpenStore();
   EXPECT_EQ(store_->document_count(), 1u);
   auto rebuilt = store_->Reconstruct(id);
@@ -282,7 +282,7 @@ TEST(XmlStoreScrubberTest, ScrubberRunsConcurrentlyWithIngestAndReads) {
     auto id = (*store)->InsertDocument(*doc, info);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
   }
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->Checkpoint().ok());
 
   // Wait for the background thread to complete at least one full pass over
   // flushed pages (it ticks every 100ms).
@@ -318,7 +318,7 @@ TEST(XmlStoreDegradedTest, FsyncFailureLatchesReadOnlyMode) {
     DocumentInfo info;
     info.file_name = "seed.xml";
     ASSERT_TRUE((*store)->InsertDocument(*doc, info).ok());
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
   }
 
   FaultSpec spec;
@@ -328,7 +328,6 @@ TEST(XmlStoreDegradedTest, FsyncFailureLatchesReadOnlyMode) {
   FaultInjectingEnv env(spec);
   storage::StorageOptions sopts;
   sopts.env = &env;
-  sopts.wal_fsync = storage::WalFsyncPolicy::kCommit;
   auto store = XmlStore::Open(dir->str(), xml::NodeTypeConfig::Default(), sopts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_FALSE((*store)->degraded());

@@ -61,7 +61,7 @@ while :; do
   # points) actually fire within a tiny corpus.
   NETMARK_CRASH_POINT=$point NETMARK_CRASH_AFTER=$after \
     "$BIN" torture-ingest --data "$WORK/data" --drop "$WORK/drop" \
-      --fsync commit --checkpoint-bytes 65536
+      --checkpoint-bytes 65536
   rc=$?
   if ! run_verify; then
     echo "crash_torture: VERIFY FAILED after round $round (seed $SEED, ${point}/${after})" >&2
@@ -73,7 +73,7 @@ done
 # One guaranteed-clean pass: whatever the last kill left behind must drain
 # and still verify.
 "$BIN" torture-ingest --data "$WORK/data" --drop "$WORK/drop" \
-  --fsync commit --checkpoint-bytes 65536 >/dev/null || exit 1
+  --checkpoint-bytes 65536 >/dev/null || exit 1
 if ! run_verify; then
   echo "crash_torture: FINAL VERIFY FAILED (seed $SEED)" >&2
   exit 1

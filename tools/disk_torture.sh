@@ -35,7 +35,7 @@ fail() {
 
 ingest() { # ingest DATA DROP -> torture-ingest exit code
   "$BIN" torture-ingest --data "$1" --drop "$2" \
-    --fsync commit --checkpoint-bytes "${3:-65536}"
+    --checkpoint-bytes "${3:-65536}"
 }
 
 # --- Phase A: sticky write-path fault must fail-stop, never lose an ack. ---

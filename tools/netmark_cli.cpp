@@ -12,10 +12,12 @@
 //
 // QUERY is an XDB query string, e.g. "context=Budget&content=engine".
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -67,12 +69,12 @@ int Usage() {
                "                  [--offset K]            flip one on-disk byte\n"
                "\n"
                "storage flags (any command taking --data; also the [storage]\n"
-               "INI section via --config): --wal on|off, --fsync\n"
-               "commit|batch|none, --checkpoint-bytes N; INI-only:\n"
-               "scrub_pages_per_sec N,\n"
-               "on_fsync_error degrade|abort (docs/durability.md),\n"
+               "INI section via --config): --checkpoint-bytes N; INI-only:\n"
+               "scrub_pages_per_sec N (docs/durability.md),\n"
                "mvcc_gc_interval_ms N, mvcc_max_retained_versions N\n"
                "(docs/mvcc.md)\n"
+               "unknown keys and negative integers in these INI sections\n"
+               "fail start-up\n"
                "NETMARK_DISK_FAULT=kind:nth injects a deterministic disk fault\n"
                "(read_eio|write_eio|write_enospc|write_short|write_torn|"
                "fsync_fail)\n"
@@ -108,54 +110,65 @@ Args ParseArgs(int argc, char** argv, int start) {
   return args;
 }
 
-// Durability knobs, lowest to highest precedence: defaults, the [storage]
-// INI section of --config, then direct --wal/--fsync/--checkpoint-bytes
-// flags. Resolved BEFORE Netmark::Open — recovery and the fsync policy are
-// fixed at open time.
-Status ApplyStorageFlags(const Args& args, storage::StorageOptions* storage) {
-  auto config_flag = args.flags.find("config");
-  if (config_flag != args.flags.end()) {
-    NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
-    auto wal = config.Get("storage", "wal_enabled");
-    if (wal.ok()) storage->wal_enabled = (*wal != "off" && *wal != "false" && *wal != "0");
-    auto fsync = config.Get("storage", "wal_fsync");
-    if (fsync.ok()) {
-      NETMARK_ASSIGN_OR_RETURN(storage->wal_fsync,
-                               storage::ParseWalFsyncPolicy(*fsync));
-    }
-    storage->checkpoint_bytes = static_cast<uint64_t>(config.GetIntOr(
-        "storage", "checkpoint_bytes",
-        static_cast<int64_t>(storage->checkpoint_bytes)));
-    storage->scrub_pages_per_sec = static_cast<int>(config.GetIntOr(
-        "storage", "scrub_pages_per_sec", storage->scrub_pages_per_sec));
-    // MVCC version lifecycle (docs/mvcc.md): GC cadence and the per-page
-    // retention bound (0 = unlimited; capped readers get SnapshotTooOld).
-    storage->mvcc_gc_interval_ms = static_cast<int>(config.GetIntOr(
-        "storage", "mvcc_gc_interval_ms", storage->mvcc_gc_interval_ms));
-    storage->mvcc_max_retained_versions = static_cast<int>(config.GetIntOr(
-        "storage", "mvcc_max_retained_versions",
-        storage->mvcc_max_retained_versions));
-    auto on_fsync = config.Get("storage", "on_fsync_error");
-    if (on_fsync.ok()) {
-      if (*on_fsync == "abort") {
-        storage->abort_on_fsync_error = true;
-      } else if (*on_fsync == "degrade") {
-        storage->abort_on_fsync_error = false;
-      } else {
-        return Status::InvalidArgument(
-            "bad [storage] on_fsync_error (want degrade|abort): " + *on_fsync);
+// The INI sections --config feeds and every key their appliers below read.
+// Any other key in these sections is a typo or a removed knob, and fails
+// start-up instead of being silently ignored. Other sections are left alone.
+const std::map<std::string, std::vector<std::string>> kConfigKeys = {
+    {"storage",
+     {"checkpoint_bytes", "scrub_pages_per_sec", "mvcc_gc_interval_ms",
+      "mvcc_max_retained_versions"}},
+    {"query", {"cache_enabled", "cache_entries", "cache_bytes", "plan_entries"}},
+    {"observability",
+     {"trace_sample_rate", "trace_store_capacity", "trace_slow_keep_ms"}},
+    {"server",
+     {"worker_threads", "accept_queue_capacity", "max_requests_per_connection",
+      "idle_timeout_ms", "read_timeout_ms", "log_level", "slow_query_ms"}},
+};
+
+Status CheckConfigKeys(const Config& config) {
+  for (const auto& [section, known] : kConfigKeys) {
+    for (const std::string& key : config.Keys(section)) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return Status::InvalidArgument("unknown [" + section + "] key: " + key);
       }
     }
   }
-  auto wal_flag = args.flags.find("wal");
-  if (wal_flag != args.flags.end()) {
-    storage->wal_enabled = (wal_flag->second != "off" && wal_flag->second != "false");
+  return Status::OK();
+}
+
+// Sets `*out` from a non-negative integer key; an absent key leaves it as
+// is, and a value that does not parse or does not fit `T` is an error.
+template <typename T>
+Status ReadCount(const Config& config, const std::string& section,
+                 const std::string& key, T* out) {
+  auto text = config.Get(section, key);
+  if (!text.ok()) return Status::OK();
+  auto value = ParseInt64(*text);
+  if (!value.ok() || *value < 0 ||
+      static_cast<uint64_t>(*value) >
+          static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return Status::InvalidArgument("bad [" + section + "] " + key +
+                                   " (want a non-negative integer): " + *text);
   }
-  auto fsync_flag = args.flags.find("fsync");
-  if (fsync_flag != args.flags.end()) {
-    NETMARK_ASSIGN_OR_RETURN(storage->wal_fsync,
-                             storage::ParseWalFsyncPolicy(fsync_flag->second));
-  }
+  *out = static_cast<T>(*value);
+  return Status::OK();
+}
+
+// Durability knobs, lowest to highest precedence: defaults, the [storage]
+// INI section of --config, then the --checkpoint-bytes flag. Resolved
+// BEFORE Netmark::Open — recovery runs at open time.
+Status ApplyStorageFlags(const Args& args, const Config& config,
+                         storage::StorageOptions* storage) {
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "storage", "checkpoint_bytes",
+                                  &storage->checkpoint_bytes));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "storage", "scrub_pages_per_sec",
+                                  &storage->scrub_pages_per_sec));
+  // MVCC version lifecycle (docs/mvcc.md): GC cadence and the per-page
+  // retention bound (0 = unlimited; capped readers get SnapshotTooOld).
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "storage", "mvcc_gc_interval_ms",
+                                  &storage->mvcc_gc_interval_ms));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "storage", "mvcc_max_retained_versions",
+                                  &storage->mvcc_max_retained_versions));
   auto ckpt_flag = args.flags.find("checkpoint-bytes");
   if (ckpt_flag != args.flags.end()) {
     NETMARK_ASSIGN_OR_RETURN(int64_t bytes, ParseInt64(ckpt_flag->second));
@@ -168,24 +181,18 @@ Status ApplyStorageFlags(const Args& args, storage::StorageOptions* storage) {
 // on|off, cache_entries / cache_bytes for the result cache, plan_entries for
 // the compiled-plan cache. Resolved before Open — the caches are configured
 // once, before any traffic (docs/query_cache.md).
-Status ApplyQueryFlags(const Args& args, NetmarkOptions* options) {
-  auto config_flag = args.flags.find("config");
-  if (config_flag == args.flags.end()) return Status::OK();
-  NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
+Status ApplyQueryFlags(const Config& config, NetmarkOptions* options) {
   auto enabled = config.Get("query", "cache_enabled");
   if (enabled.ok()) {
     options->query_cache.enabled =
         (*enabled != "off" && *enabled != "false" && *enabled != "0");
   }
-  options->query_cache.max_entries = static_cast<size_t>(config.GetIntOr(
-      "query", "cache_entries",
-      static_cast<int64_t>(options->query_cache.max_entries)));
-  options->query_cache.max_bytes = static_cast<size_t>(config.GetIntOr(
-      "query", "cache_bytes",
-      static_cast<int64_t>(options->query_cache.max_bytes)));
-  options->plan_cache.max_entries = static_cast<size_t>(config.GetIntOr(
-      "query", "plan_entries",
-      static_cast<int64_t>(options->plan_cache.max_entries)));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "query", "cache_entries",
+                                  &options->query_cache.max_entries));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "query", "cache_bytes",
+                                  &options->query_cache.max_bytes));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "query", "plan_entries",
+                                  &options->plan_cache.max_entries));
   options->plan_cache.enabled = options->query_cache.enabled;
   return Status::OK();
 }
@@ -193,10 +200,7 @@ Status ApplyQueryFlags(const Args& args, NetmarkOptions* options) {
 // Trace sampling / retention knobs ([observability] INI section via
 // --config): trace_sample_rate 0..1, trace_store_capacity N,
 // trace_slow_keep_ms N. Resolved before Open (docs/observability.md).
-Status ApplyObservabilityFlags(const Args& args, NetmarkOptions* options) {
-  auto config_flag = args.flags.find("config");
-  if (config_flag == args.flags.end()) return Status::OK();
-  NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
+Status ApplyObservabilityFlags(const Config& config, NetmarkOptions* options) {
   auto rate = config.Get("observability", "trace_sample_rate");
   if (rate.ok()) {
     char* end = nullptr;
@@ -207,48 +211,53 @@ Status ApplyObservabilityFlags(const Args& args, NetmarkOptions* options) {
     }
     options->trace_store.sample_rate = parsed;
   }
-  options->trace_store.capacity = static_cast<size_t>(config.GetIntOr(
-      "observability", "trace_store_capacity",
-      static_cast<int64_t>(options->trace_store.capacity)));
-  options->trace_store.slow_keep_ms = config.GetIntOr(
-      "observability", "trace_slow_keep_ms", options->trace_store.slow_keep_ms);
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "observability", "trace_store_capacity",
+                                  &options->trace_store.capacity));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "observability", "trace_slow_keep_ms",
+                                  &options->trace_store.slow_keep_ms));
   return Status::OK();
 }
 
 // Serving knobs ([server] INI section via --config): the pool/queue/timeout
 // sizing. Resolved before Open so StartServer (serve command, tests through
 // the CLI) picks them up without extra plumbing (docs/serving.md).
-Status ApplyServerFlags(const Args& args, NetmarkOptions* options) {
-  auto config_flag = args.flags.find("config");
-  if (config_flag == args.flags.end()) return Status::OK();
-  NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
+Status ApplyServerFlags(const Config& config, NetmarkOptions* options) {
   server::HttpServerOptions& http = options->http_server;
-  http.worker_threads = static_cast<int>(
-      config.GetIntOr("server", "worker_threads", http.worker_threads));
-  http.accept_queue_capacity = static_cast<size_t>(
-      config.GetIntOr("server", "accept_queue_capacity",
-                      static_cast<int64_t>(http.accept_queue_capacity)));
-  http.max_requests_per_connection = static_cast<int>(
-      config.GetIntOr("server", "max_requests_per_connection",
-                      http.max_requests_per_connection));
-  http.idle_timeout_ms = static_cast<int>(
-      config.GetIntOr("server", "idle_timeout_ms", http.idle_timeout_ms));
-  http.read_timeout_ms = static_cast<int>(
-      config.GetIntOr("server", "read_timeout_ms", http.read_timeout_ms));
+  NETMARK_RETURN_NOT_OK(
+      ReadCount(config, "server", "worker_threads", &http.worker_threads));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "server", "accept_queue_capacity",
+                                  &http.accept_queue_capacity));
+  NETMARK_RETURN_NOT_OK(ReadCount(config, "server", "max_requests_per_connection",
+                                  &http.max_requests_per_connection));
+  NETMARK_RETURN_NOT_OK(
+      ReadCount(config, "server", "idle_timeout_ms", &http.idle_timeout_ms));
+  NETMARK_RETURN_NOT_OK(
+      ReadCount(config, "server", "read_timeout_ms", &http.read_timeout_ms));
   return Status::OK();
 }
 
-Result<std::unique_ptr<Netmark>> OpenFromArgs(const Args& args) {
+// Opens the store named by --data. --config is loaded and checked once here;
+// `config`, when non-null, receives it for the serve command's own keys
+// (empty when no --config was given).
+Result<std::unique_ptr<Netmark>> OpenFromArgs(const Args& args,
+                                              Config* config = nullptr) {
   auto it = args.flags.find("data");
   if (it == args.flags.end()) {
     return Status::InvalidArgument("--data DIR is required");
   }
+  Config loaded;
+  auto config_flag = args.flags.find("config");
+  if (config_flag != args.flags.end()) {
+    NETMARK_ASSIGN_OR_RETURN(loaded, Config::Load(config_flag->second));
+    NETMARK_RETURN_NOT_OK(CheckConfigKeys(loaded).WithContext(config_flag->second));
+  }
   NetmarkOptions options;
   options.data_dir = it->second;
-  NETMARK_RETURN_NOT_OK(ApplyStorageFlags(args, &options.storage));
-  NETMARK_RETURN_NOT_OK(ApplyQueryFlags(args, &options));
-  NETMARK_RETURN_NOT_OK(ApplyObservabilityFlags(args, &options));
-  NETMARK_RETURN_NOT_OK(ApplyServerFlags(args, &options));
+  NETMARK_RETURN_NOT_OK(ApplyStorageFlags(args, loaded, &options.storage));
+  NETMARK_RETURN_NOT_OK(ApplyQueryFlags(loaded, &options));
+  NETMARK_RETURN_NOT_OK(ApplyObservabilityFlags(loaded, &options));
+  NETMARK_RETURN_NOT_OK(ApplyServerFlags(loaded, &options));
+  if (config != nullptr) *config = std::move(loaded);
   // NETMARK_DISK_FAULT=kind:nth wraps every storage file in a deterministic
   // fault injector (tools/disk_torture.sh drives this). The Env must outlive
   // the store, so it lives for the remainder of the process.
@@ -266,7 +275,7 @@ int CmdIngest(const Args& args) {
     if (!id.ok()) return Fail(file + ": " + id.status().ToString());
     std::printf("%s -> doc %lld\n", file.c_str(), static_cast<long long>(*id));
   }
-  Status st = (*nm)->store()->Flush();
+  Status st = (*nm)->store()->Checkpoint();
   if (!st.ok()) return Fail(st.ToString());
   return 0;
 }
@@ -304,7 +313,7 @@ int CmdRm(const Args& args) {
   if (!id.ok()) return Fail("bad document id: " + args.positional[0]);
   Status st = (*nm)->DeleteDocument(*id);
   if (!st.ok()) return Fail(st.ToString());
-  st = (*nm)->store()->Flush();
+  st = (*nm)->store()->Checkpoint();
   if (!st.ok()) return Fail(st.ToString());
   std::printf("deleted doc %lld\n", static_cast<long long>(*id));
   return 0;
@@ -330,22 +339,22 @@ int CmdQuery(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
-  auto nm = OpenFromArgs(args);
+  Config config;
+  auto nm = OpenFromArgs(args, &config);
   if (!nm.ok()) return Fail(nm.status().ToString());
 
   // Server INI: [server] log_level / slow_query_ms. Matching env vars
   // (NETMARK_LOG_LEVEL, NETMARK_SLOW_QUERY_MS) always win over the file.
   auto config_flag = args.flags.find("config");
   if (config_flag != args.flags.end()) {
-    auto config = Config::Load(config_flag->second);
-    if (!config.ok()) return Fail(config.status().ToString());
-    auto level = config->Get("server", "log_level");
+    auto level = config.Get("server", "log_level");
     if (level.ok() && std::getenv("NETMARK_LOG_LEVEL") == nullptr) {
       Logger::Instance().SetLevel(
           ParseLogLevel(level->c_str(), Logger::Instance().level()));
     }
-    int64_t slow_ms = config->GetIntOr("server", "slow_query_ms",
-                                       (*nm)->service()->slow_query_ms());
+    int64_t slow_ms = (*nm)->service()->slow_query_ms();
+    Status st = ReadCount(config, "server", "slow_query_ms", &slow_ms);
+    if (!st.ok()) return Fail(st.ToString());
     (*nm)->service()->set_slow_query_ms(slow_ms);
     std::printf("loaded server config from %s (slow_query_ms=%lld)\n",
                 config_flag->second.c_str(),
@@ -446,7 +455,6 @@ int CmdTortureIngest(const Args& args) {
   server::DaemonOptions dopts;
   dopts.drop_dir = drop_it->second;
   dopts.stable_age = std::chrono::milliseconds(0);  // take files as-is
-  dopts.keep_processed = true;  // processed/ is the ack ledger verify reads
   auto workers_it = args.flags.find("workers");
   if (workers_it != args.flags.end()) {
     auto parsed = ParseInt64(workers_it->second);
