@@ -108,7 +108,18 @@ class PosixEnv : public Env {
   }
 
   Result<std::string> ReadFileToString(const std::string& path) override {
-    return netmark::ReadFile(path);
+    // Through PosixFile::Read so a failed or short read is an error, never a
+    // silently shorter string (a WAL scan would take that for a torn tail).
+    int fd;
+    do {
+      fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) return ErrnoStatus(path, "open", errno);
+    PosixFile file(path, fd);
+    NETMARK_ASSIGN_OR_RETURN(uint64_t size, file.Size());
+    std::string out(static_cast<size_t>(size), '\0');
+    NETMARK_RETURN_NOT_OK(file.Read(0, out.size(), out.data()));
+    return out;
   }
 
   Status WriteFileAtomic(const std::string& path,

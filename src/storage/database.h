@@ -177,9 +177,9 @@ class Database {
   }
   /// Records the first failure that forces read-only mode.
   void MarkDegraded(const netmark::Status& cause);
-  /// One-time v0→v1 page format upgrade pass + WAL staging of all pending
-  /// dirty-since-mark images, run at the start of a checkpoint.
-  netmark::Status StagePendingAndUpgrades();
+  /// WAL staging of all pending dirty-since-mark images, run at the start of
+  /// a checkpoint.
+  netmark::Status StagePending();
 
   std::string dir_;
   StorageOptions options_;
@@ -193,7 +193,6 @@ class Database {
   bool in_txn_ = false;
   uint64_t last_checkpoint_lsn_ = 0;
   uint64_t checkpoints_ = 0;
-  bool upgrade_scan_done_ = false;
   std::atomic<Epoch> commit_epoch_{0};
 
   std::atomic<bool> degraded_{false};

@@ -17,22 +17,16 @@ namespace {
 //   bytes 8..11 : chunk length
 //   bytes 12..  : chunk data
 constexpr size_t kOverflowHeader = 12;
-// New (v1) chunks leave room for the CRC trailer; legacy v0 chunks may run
-// to the end of the page.
+// Chunks leave room for the CRC trailer.
 constexpr size_t kOverflowChunk = kPageSize - kOverflowHeader - kPageTrailerSize;
-constexpr size_t kOverflowChunkV0Max = kPageSize - kOverflowHeader;
-
-uint16_t ReadMarker(const uint8_t* raw) {
-  uint16_t v;
-  std::memcpy(&v, raw, 2);
-  return v;
-}
 
 }  // namespace
 
 netmark::Result<HeapFile> HeapFile::Open(Pager* pager) {
   HeapFile hf(pager);
-  // Recover the append page (highest data page) and the live-record count.
+  // Recover the append page (highest data page) and the live-record count,
+  // which counts what Scan visits: every record but relocation targets (a
+  // relocated record is counted once, at its forwarding origin slot).
   // Quarantined (bad-checksum) pages are skipped so the store still opens:
   // their records surface as DataLoss on access, not as a failure to start.
   uint64_t live = 0;
@@ -43,13 +37,12 @@ netmark::Result<HeapFile> HeapFile::Open(Pager* pager) {
       return fetched.status();
     }
     Page page = fetched->page();
-    if (ReadMarker(page.raw()) == kOverflowMarker) continue;
+    if (PageIsOverflow(page.raw())) continue;
     hf.tail_ = id;
     for (uint16_t s = 0; s < page.slot_count(); ++s) {
       std::string_view rec = page.Get(s);
       if (rec.empty()) continue;
-      uint8_t flags = static_cast<uint8_t>(rec[0]);
-      if ((flags & (kForwardFlag | kRelocatedFlag)) == 0) ++live;
+      if ((static_cast<uint8_t>(rec[0]) & kRelocatedFlag) == 0) ++live;
     }
   }
   hf.live_records_.store(live, std::memory_order_relaxed);
@@ -125,14 +118,12 @@ netmark::Result<std::string> HeapFile::ReadOverflow(std::string_view payload,
     // is not reused), so they are visible at every epoch the record is.
     NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(pid, epoch));
     const uint8_t* raw = ref.raw();
-    if (ReadMarker(raw) != kOverflowMarker) {
+    if (!PageIsOverflow(raw)) {
       return netmark::Status::Corruption("overflow chain reached a data page");
     }
     uint32_t len;
     std::memcpy(&len, raw + 8, 4);
-    // Bound by the v0 physical maximum: legacy chunks may use the trailer
-    // bytes for data.
-    if (len > kOverflowChunkV0Max) {
+    if (len > kOverflowChunk) {
       return netmark::Status::Corruption("bad overflow chunk");
     }
     out.append(reinterpret_cast<const char*>(raw + kOverflowHeader), len);
@@ -282,7 +273,7 @@ netmark::Status HeapFile::Scan(
       return fetched.status();
     }
     Page page = fetched->page();
-    if (ReadMarker(page.raw()) == kOverflowMarker) continue;
+    if (PageIsOverflow(page.raw())) continue;
     for (uint16_t s = 0; s < page.slot_count(); ++s) {
       std::string_view rec = page.Get(s);
       if (rec.empty()) continue;

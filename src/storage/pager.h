@@ -12,7 +12,7 @@
 // file, and SyncToDisk() makes a completed flush durable.
 //
 // Disk faults (docs/durability.md): all file I/O goes through a
-// netmark::Env, every v1 page is CRC-stamped when it is published and
+// netmark::Env, every page is CRC-stamped when it is published and
 // verified on every read miss, and a page whose checksum does not match is
 // *quarantined* — the read returns Status::DataLoss, the page is never
 // cached or served, and the scrubber/healthz report it. Read errors (EIO)
@@ -78,7 +78,7 @@ struct PagerOptions {
 /// \brief Shared, read-only handle to one immutable page version.
 ///
 /// Holds a reference on the underlying buffer, so the bytes stay valid even
-/// if version GC or a v0->v1 upgrade retires the version concurrently.
+/// if version GC retires the version concurrently.
 class PageRef {
  public:
   PageRef() = default;
@@ -168,18 +168,10 @@ class Pager {
   /// The commit path uses this to stage write-ahead-log images.
   std::vector<PageId> TakeDirtySinceMark();
 
-  /// Upgrades every v0 page to the checksummed v1 format where possible
-  /// (see PageTryUpgradeV1), loading uncached pages from disk. The current
-  /// published version is replaced by an upgraded clone under the same
-  /// epoch tag (in-flight PageRefs keep the old buffer alive).
-  /// Returns the ids whose persistent image changed so the caller can stage
-  /// them on the WAL before the next flush. Quarantined pages are skipped.
-  netmark::Result<std::vector<PageId>> UpgradeAllV0();
-
   /// Re-reads one page from disk and checks its CRC (the scrubber's probe).
   /// Returns false — and quarantines the page — when a fresh corruption was
   /// found; true when the page verified, was dirty (the on-disk copy is
-  /// legitimately stale), was already quarantined, or is v0 (unverifiable).
+  /// legitimately stale), or was already quarantined.
   /// Read errors propagate as a Status without quarantining.
   netmark::Result<bool> VerifyOnDisk(PageId id);
 

@@ -51,7 +51,7 @@ netmark::Result<RecoveryStats> RecoverDatabase(const std::string& dir,
   if (env == nullptr) env = netmark::Env::Default();
   RecoveryStats stats;
   int64_t start = netmark::MonotonicMicros();
-  NETMARK_ASSIGN_OR_RETURN(WalScan scan, Wal::ReadRecords(wal_path));
+  NETMARK_ASSIGN_OR_RETURN(WalScan scan, Wal::ReadRecords(wal_path, env));
   stats.records_scanned = scan.records.size();
   stats.torn_tail = scan.torn_tail;
   if (scan.records.empty() && !scan.torn_tail) {

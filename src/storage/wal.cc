@@ -1,9 +1,5 @@
 #include "storage/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -30,32 +26,12 @@ void Put64(std::string* out, uint64_t v) {
 
 }  // namespace
 
-netmark::Result<WalScan> Wal::ReadRecords(const std::string& path) {
+netmark::Result<WalScan> Wal::ReadRecords(const std::string& path,
+                                          netmark::Env* env) {
+  if (env == nullptr) env = netmark::Env::Default();
   WalScan scan;
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return scan;  // no log = empty scan
-    return netmark::Status::IOError("open " + path + ": " + std::strerror(errno));
-  }
-  off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    return netmark::Status::IOError("lseek " + path + ": " + std::strerror(errno));
-  }
-  std::string buf;
-  buf.resize(static_cast<size_t>(size));
-  size_t got = 0;
-  while (got < buf.size()) {
-    ssize_t n = ::pread(fd, buf.data() + got, buf.size() - got,
-                        static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return netmark::Status::IOError("read " + path + ": " + std::strerror(errno));
-    }
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
+  if (!env->FileExists(path)) return scan;  // no log = empty scan
+  NETMARK_ASSIGN_OR_RETURN(std::string buf, env->ReadFileToString(path));
 
   auto tear = [&](size_t at, const char* reason) {
     scan.valid_bytes = at;
@@ -129,7 +105,7 @@ netmark::Result<WalScan> Wal::ReadRecords(const std::string& path) {
 netmark::Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
                                                 netmark::Env* env) {
   if (env == nullptr) env = netmark::Env::Default();
-  NETMARK_ASSIGN_OR_RETURN(WalScan scan, ReadRecords(path));
+  NETMARK_ASSIGN_OR_RETURN(WalScan scan, ReadRecords(path, env));
   NETMARK_ASSIGN_OR_RETURN(std::unique_ptr<netmark::File> file,
                            env->OpenFile(path, /*create=*/true));
   if (scan.torn_tail) {

@@ -74,8 +74,10 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Scans a log file without opening it for append (recovery, tests).
-  static netmark::Result<WalScan> ReadRecords(const std::string& path);
+  /// Scans a log file without opening it for append (recovery, tests). A
+  /// missing file is an empty scan. `env` defaults to Env::Default().
+  static netmark::Result<WalScan> ReadRecords(const std::string& path,
+                                              netmark::Env* env = nullptr);
 
   /// Stages one page image for the open transaction (memory only — nothing
   /// reaches the file until AppendCommit).

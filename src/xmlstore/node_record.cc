@@ -83,9 +83,7 @@ Row DocRecord::ToRow() const {
 }
 
 netmark::Result<DocRecord> DocRecord::FromRow(const Row& row) {
-  // 4-column rows predate NODE_COUNT; 0 means "unknown" and disables the
-  // reconstruction completeness check for that document.
-  if (row.size() != 4 && row.size() != 5) {
+  if (row.size() != 5) {
     return netmark::Status::Corruption("DOC row has wrong arity");
   }
   DocRecord r;
@@ -93,7 +91,7 @@ netmark::Result<DocRecord> DocRecord::FromRow(const Row& row) {
   r.file_name = row[kFileName].AsStr();
   r.file_date = row[kFileDate].AsInt();
   r.file_size = row[kFileSize].AsInt();
-  if (row.size() > kNodeCount) r.node_count = row[kNodeCount].AsInt();
+  r.node_count = row[kNodeCount].AsInt();
   return r;
 }
 

@@ -74,7 +74,7 @@ struct DocRecord {
   std::string file_name;
   int64_t file_date = 0;  ///< seconds since epoch
   int64_t file_size = 0;  ///< bytes of the original source file
-  int64_t node_count = 0;  ///< XML rows stored for this doc (0 = legacy row)
+  int64_t node_count = 0;  ///< XML rows stored for this doc
 
   static storage::TableSchema Schema();
   enum Column : size_t {

@@ -554,8 +554,7 @@ netmark::Result<xml::Document> XmlStore::Reconstruct(int64_t doc_id) const {
   // scanning the heap, and that scan skips quarantined (checksum-failed)
   // pages — rows lost that way are silently absent here, not errors. The
   // stored node count turns the silence back into a detectable failure.
-  if (info.node_count > 0 &&
-      static_cast<int64_t>(nodes.size()) != info.node_count) {
+  if (static_cast<int64_t>(nodes.size()) != info.node_count) {
     if (quarantined_pages() > 0) {
       NoteQuarantinedDoc(doc_id);
       return netmark::Status::DataLoss(netmark::StringPrintf(

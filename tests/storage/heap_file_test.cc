@@ -156,15 +156,21 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   auto a = heap_->Insert("persist me");
   std::string big(30000, 'P');
   auto b = heap_->Insert(big);
-  ASSERT_TRUE(a.ok() && b.ok());
+  // Outgrowing its slot relocates this record; it must still count once.
+  auto r = heap_->Insert("tiny-record");
+  ASSERT_TRUE(a.ok() && b.ok() && r.ok());
+  std::string grown(300, 'G');
+  ASSERT_TRUE(heap_->Update(*r, grown).ok());
   RowId ra = *a;
   RowId rb = *b;
   Publish();
   ASSERT_TRUE(pager_->Flush().ok());
+  EXPECT_EQ(heap_->live_records(), 3u);
   Reopen();
-  EXPECT_EQ(heap_->live_records(), 2u);
+  EXPECT_EQ(heap_->live_records(), 3u);
   EXPECT_EQ(*heap_->Get(ra), "persist me");
   EXPECT_EQ(*heap_->Get(rb), big);
+  EXPECT_EQ(*heap_->Get(*r), grown);
   // Appending after reopen lands in a valid position.
   auto c = heap_->Insert("after reopen");
   ASSERT_TRUE(c.ok());

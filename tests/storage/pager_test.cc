@@ -335,37 +335,49 @@ TEST_F(PagerTest, VerifyOnDiskSelfHealsCachedCorruption) {
   EXPECT_TRUE(*healed);
 }
 
-TEST_F(PagerTest, V0PageIsServedUnverified) {
+TEST_F(PagerTest, ClearedVersionByteDoesNotSkipVerification) {
   {
     auto pager = Pager::Open(path_);
     ASSERT_TRUE(pager.ok());
     auto id = (*pager)->Allocate();
     ASSERT_TRUE(id.ok());
     auto page = (*pager)->Fetch(*id);
-    page->Insert("legacy");
+    page->Insert("payload");
     (*pager)->MarkDirty(*id);
     Publish(**pager);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
-  // Rewrite the page as v0: clear the version byte and the trailer. A legacy
-  // page has no checksum, so a verifying pager must serve it as-is rather
-  // than false-quarantine it.
+  // Clear the version byte and zero the trailer: the page claims to predate
+  // checksums. The trailer alone decides, so the page is quarantined rather
+  // than served unverified.
   {
     std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
     char zero[kPageTrailerSize] = {0};
     f.seekp(4);
-    f.write(zero, 1);  // version byte -> v0
+    f.write(zero, 1);
     f.seekp(static_cast<std::streamoff>(kPageSize - kPageTrailerSize));
-    f.write(zero, kPageTrailerSize);  // trailer -> garbage (zeros)
+    f.write(zero, kPageTrailerSize);
   }
   auto pager = Pager::Open(path_);
   ASSERT_TRUE(pager.ok());
   auto page = (*pager)->Fetch(0);
-  ASSERT_TRUE(page.ok()) << page.status().ToString();
-  EXPECT_EQ(page->Get(0), "legacy");
-  EXPECT_EQ(PageVersion(page->raw()), 0);
-  EXPECT_EQ((*pager)->quarantined_count(), 0u);
+  EXPECT_TRUE(page.status().IsDataLoss()) << page.status().ToString();
+  EXPECT_EQ((*pager)->quarantined_count(), 1u);
+}
+
+TEST_F(PagerTest, AllZeroPageIsQuarantined) {
+  {
+    std::ofstream f(path_, std::ios::binary);
+    std::string zeros(kPageSize, '\0');
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  auto pager = Pager::Open(path_);
+  ASSERT_TRUE(pager.ok());
+  ASSERT_EQ((*pager)->page_count(), 1u);
+  EXPECT_TRUE((*pager)->Fetch(0).status().IsDataLoss());
+  EXPECT_TRUE((*pager)->IsQuarantined(0));
+  EXPECT_EQ((*pager)->quarantined_count(), 1u);
 }
 
 TEST_F(PagerTest, UnpublishedWorkingCopyNeverReachesFile) {
@@ -411,40 +423,6 @@ TEST_F(PagerTest, UnpublishedWorkingCopyNeverReachesFile) {
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->slot_count(), 1);
   EXPECT_EQ(page->Get(0), "committed");
-}
-
-TEST(PageFormatTest, TryUpgradeV1ShiftsRecordsAndPreservesContent) {
-  alignas(8) uint8_t buf[kPageSize] = {0};
-  Page page(buf);
-  page.Init();
-  uint16_t a = page.Insert("first record");
-  uint16_t b = page.Insert("second record");
-  // Regress the page to v0: undo the trailer reservation the way a legacy
-  // writer would have laid it out (records flush against kPageSize).
-  std::memmove(buf + page.free_end() + kPageTrailerSize, buf + page.free_end(),
-               kPageSize - kPageTrailerSize - page.free_end());
-  for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
-    size_t base = Page::kHeaderSize + static_cast<size_t>(slot) * Page::kSlotSize;
-    uint16_t off;
-    std::memcpy(&off, buf + base, 2);
-    off = static_cast<uint16_t>(off + kPageTrailerSize);
-    std::memcpy(buf + base, &off, 2);
-  }
-  uint16_t v0_end = static_cast<uint16_t>(page.free_end() + kPageTrailerSize);
-  std::memcpy(buf + 2, &v0_end, 2);
-  buf[4] = 0;
-  ASSERT_EQ(page.Get(a), "first record");
-  ASSERT_EQ(page.Get(b), "second record");
-  ASSERT_FALSE(PageHasChecksum(buf));
-
-  EXPECT_TRUE(PageTryUpgradeV1(buf));
-  EXPECT_TRUE(PageHasChecksum(buf));
-  EXPECT_EQ(page.Get(a), "first record");
-  EXPECT_EQ(page.Get(b), "second record");
-  PageStampChecksum(buf);
-  EXPECT_TRUE(PageVerifyChecksum(buf));
-  // Upgrading twice is a no-op.
-  EXPECT_FALSE(PageTryUpgradeV1(buf));
 }
 
 TEST_F(PagerTest, TakeDirtySinceMarkTracksAllocationsAndDirties) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/env.h"
 #include "common/temp_dir.h"
 #include "storage/recovery.h"
 
@@ -132,6 +133,28 @@ TEST_F(WalTest, ShortTailIsTruncated) {
   EXPECT_TRUE(scan->torn_tail);
   ASSERT_EQ(scan->records.size(), 1u);
   EXPECT_EQ(scan->records[0].type, WalRecordType::kPageImage);
+}
+
+TEST_F(WalTest, ReadErrorFailsScanThroughEnv) {
+  {
+    auto wal = Wal::Open(wal_path_);
+    ASSERT_TRUE(wal.ok());
+    std::string a = Image(0x66, 0);
+    (*wal)->StagePageImage(1, "T", 0, reinterpret_cast<const uint8_t*>(a.data()));
+    ASSERT_TRUE((*wal)->AppendCommit(1).ok());
+  }
+  // A failed read is an error, never an empty or torn scan (which Open would
+  // answer by truncating committed records away).
+  auto spec = FaultSpec::Parse("read_eio:1");
+  ASSERT_TRUE(spec.ok());
+  FaultInjectingEnv env(*spec);
+  auto scan = Wal::ReadRecords(wal_path_, &env);
+  EXPECT_TRUE(scan.status().IsIOError()) << scan.status().ToString();
+  EXPECT_EQ(env.reads(), 1u);
+  // The fault was one-shot: the next scan through the same env succeeds.
+  auto rescan = Wal::ReadRecords(wal_path_, &env);
+  ASSERT_TRUE(rescan.ok()) << rescan.status().ToString();
+  EXPECT_EQ(rescan->records.size(), 2u);
 }
 
 TEST_F(WalTest, DiscardStagedWritesNothing) {

@@ -6,7 +6,8 @@
 #   - a failed WAL fsync is never followed by an ack (fail-stop: the store
 #     latches read-only degraded mode, torture-ingest exits 3),
 #   - at-rest corruption is *detected* (checksum quarantine via scrub or
-#     open-time verification), never served as a truncated document.
+#     open-time verification), never served as a truncated document —
+#     a flipped byte (phase C) and a zeroed sector (phase D) alike.
 #
 # usage: disk_torture.sh NETMARK_BIN SEED [DOCS]
 #
@@ -111,5 +112,33 @@ fi
 # remain fatal inside torture-verify regardless of the flag.
 "$BIN" torture-verify --data "$WORK/c_data" --drop "$WORK/c_drop" --allow-quarantine 1 \
   || fail "phase C: VERIFY FAILED after corruption"
+
+# --- Phase D: torn sector at rest. Zero the first 512-byte sector of a ---
+# seeded-random committed XML.heap page (header, slot directory and, for an
+# overflow page, its marker all read as zeros). No version byte or header
+# shape may exempt a page from its checksum: the page must be quarantined
+# (scrub errors or open-time quarantine), its documents must fail loudly as
+# quarantined, and every other acked document must still verify.
+echo "--- phase D: zero one sector of a committed XML.heap page"
+"$BIN" torture-gen --drop "$WORK/d_drop" --count "$DOCS" --seed "$((SEED + 3))" >/dev/null || exit 1
+ingest "$WORK/d_data" "$WORK/d_drop" 1 >/dev/null \
+  || fail "phase D: clean ingest failed"
+"$BIN" torture-verify --data "$WORK/d_data" --drop "$WORK/d_drop" >/dev/null \
+  || fail "phase D: pre-corruption verify failed"
+pages=$(( $(wc -c < "$WORK/d_data/XML.heap") / 8192 ))
+[ "$pages" -ge 1 ] || fail "phase D: XML.heap has no committed page"
+page=$(rand "$pages")
+echo "--- phase D: zero sector 0 of XML.heap page ${page} of ${pages}"
+dd if=/dev/zero of="$WORK/d_data/XML.heap" bs=512 seek=$(( page * 16 )) count=1 \
+  conv=notrunc 2>/dev/null || fail "phase D: dd failed"
+scrub_out=$("$BIN" scrub --data "$WORK/d_data") || fail "phase D: scrub failed"
+echo "$scrub_out"
+errors=$(echo "$scrub_out" | sed -n 's/.*"errors_found":\([0-9]*\).*/\1/p')
+qpages=$(echo "$scrub_out" | sed -n 's/.*"quarantined_pages":\([0-9]*\).*/\1/p')
+if [ "$(( ${errors:-0} + ${qpages:-0} ))" -lt 1 ]; then
+  fail "phase D: zeroed sector NOT DETECTED on page ${page} (errors_found=$errors quarantined_pages=$qpages)"
+fi
+"$BIN" torture-verify --data "$WORK/d_data" --drop "$WORK/d_drop" --allow-quarantine 1 \
+  || fail "phase D: VERIFY FAILED after zeroing page ${page}"
 
 echo "disk_torture: seed $SEED passed"
