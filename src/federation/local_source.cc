@@ -1,5 +1,6 @@
 #include "federation/local_source.h"
 
+#include "query/compose.h"
 #include "xml/serializer.h"
 
 namespace netmark::federation {
@@ -32,10 +33,15 @@ netmark::Result<std::vector<FederatedHit>> LocalStoreSource::Execute(
     fh.heading = hit.heading;
     fh.text = hit.text;
     if (hit.context.valid()) {
-      // Include the section markup so downstream composition can embed it.
-      auto fragment = store_->ReconstructSubtree(hit.context);
-      if (fragment.ok()) {
-        fh.markup = xml::Serialize(*fragment, fragment->root());
+      // Ship the section body, as /xdb composes it for a remote caller.
+      auto body = query::SectionMarkup(*store_, hit.context);
+      if (!body.ok()) {
+        if (!body.status().IsDataLoss()) return body.status();
+        store_->NoteQuarantinedDoc(hit.doc_id);
+        continue;
+      }
+      for (const xml::Document& fragment : *body) {
+        fh.markup += xml::Serialize(fragment, fragment.root());
       }
     }
     out.push_back(std::move(fh));

@@ -5,10 +5,22 @@
 
 namespace netmark::query {
 
+netmark::Result<std::vector<xml::Document>> SectionMarkup(
+    const xmlstore::XmlStore& store, storage::RowId context) {
+  NETMARK_ASSIGN_OR_RETURN(std::vector<storage::RowId> body,
+                           xmlstore::SectionContent(store, context));
+  std::vector<xml::Document> fragments;
+  fragments.reserve(body.size());
+  for (storage::RowId node : body) {
+    NETMARK_ASSIGN_OR_RETURN(xml::Document fragment, store.ReconstructSubtree(node));
+    fragments.push_back(std::move(fragment));
+  }
+  return fragments;
+}
+
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
-                                              const std::vector<QueryHit>& hits,
-                                              const ComposeOptions& options) {
+                                              const std::vector<QueryHit>& hits) {
   xml::Document out;
   xml::NodeId results = out.CreateElement("results");
   out.AddAttribute(results, "query", query.ToQueryString());
@@ -22,28 +34,15 @@ netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
     // whole — never a silently truncated section — and the result set is
     // marked partial below.
     std::vector<xml::Document> fragments;
-    if (hit.context.valid() && options.include_markup) {
-      bool data_loss = false;
-      auto body = xmlstore::SectionContent(store, hit.context);
+    if (hit.context.valid()) {
+      auto body = SectionMarkup(store, hit.context);
       if (!body.ok()) {
         if (!body.status().IsDataLoss()) return body.status();
-        data_loss = true;
-      } else {
-        for (storage::RowId node : *body) {
-          auto fragment = store.ReconstructSubtree(node);
-          if (!fragment.ok()) {
-            if (!fragment.status().IsDataLoss()) return fragment.status();
-            data_loss = true;
-            break;
-          }
-          fragments.push_back(std::move(*fragment));
-        }
-      }
-      if (data_loss) {
         ++quarantined;
         store.NoteQuarantinedDoc(hit.doc_id);
         continue;
       }
+      fragments = std::move(*body);
     }
 
     xml::NodeId result = out.CreateElement("result");
@@ -85,15 +84,11 @@ netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
 
     xml::NodeId content = out.CreateElement("content");
     out.AppendChild(result, content);
-    if (options.include_markup) {
-      for (const xml::Document& fragment : fragments) {
-        for (xml::NodeId child = fragment.first_child(fragment.root());
-             child != xml::kInvalidNode; child = fragment.next_sibling(child)) {
-          out.AppendChild(content, out.ImportSubtree(fragment, child));
-        }
+    for (const xml::Document& fragment : fragments) {
+      for (xml::NodeId child = fragment.first_child(fragment.root());
+           child != xml::kInvalidNode; child = fragment.next_sibling(child)) {
+        out.AppendChild(content, out.ImportSubtree(fragment, child));
       }
-    } else {
-      out.AppendChild(content, out.CreateText(hit.text));
     }
   }
   out.AddAttribute(results, "count", std::to_string(emitted));

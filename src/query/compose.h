@@ -13,25 +13,26 @@
 
 namespace netmark::query {
 
-/// Composition knobs.
-struct ComposeOptions {
-  /// Embed the full reconstructed section markup (not just flat text).
-  bool include_markup = true;
-};
+/// \brief The markup of a section's body: each node of the content run after
+/// the `context` heading, reconstructed in document order. `/xdb` embeds it
+/// in `<content>` and the local databank source ships it, so both answer
+/// with the same section. On DataLoss (a quarantined page) the caller drops
+/// the hit whole and notes its document — never a truncated section.
+netmark::Result<std::vector<xml::Document>> SectionMarkup(
+    const xmlstore::XmlStore& store, storage::RowId context);
 
 /// \brief Builds the result document:
 ///
 ///   <results query="...">
 ///     <result doc="file" docid="1">
 ///       <context>Heading</context>
-///       <content> ...section markup or text... </content>
+///       <content> ...section markup... </content>
 ///     </result>
 ///     ...
 ///   </results>
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
-                                              const std::vector<QueryHit>& hits,
-                                              const ComposeOptions& options = {});
+                                              const std::vector<QueryHit>& hits);
 
 }  // namespace netmark::query
 

@@ -225,6 +225,14 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
     if (candidates.empty()) break;
   }
 
+  // With a content key, the *section body* (or heading) must satisfy it.
+  // The specialized plan skips that re-match: its candidates survived the
+  // intersection of every content term's sections, which already proves it.
+  const bool verify_content =
+      query.has_content() &&
+      !(plan.kind == QueryPlan::Kind::kSectionSpecialized &&
+        options_.use_specialized_section_plan);
+
   // Verify headings and assemble sections.
   std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
   for (uint64_t packed : candidates) {
@@ -232,14 +240,15 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
     NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
                              stats, continue);
     if (!textindex::Matches(context_query, section.heading)) continue;
-    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
+    NETMARK_SKIP_ON_DATALOSS(body,
+                             xmlstore::SectionText(*store_, section.content),
+                             stats, {
+                               store_->NoteQuarantinedDoc(section.doc_id);
+                               continue;
+                             });
+    if (verify_content &&
+        !textindex::Matches(content_query, section.heading + " " + body)) {
       continue;
-    });
-    // With a content key, the *section body* (or heading) must satisfy it.
-    if (query.has_content()) {
-      std::string scope = section.heading + " " + body;
-      if (!textindex::Matches(content_query, scope)) continue;
     }
     ++stats.sections_built;
     NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(section.doc_id),
@@ -247,88 +256,14 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
                                store_->NoteQuarantinedDoc(section.doc_id);
                                continue;
                              });
-    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
     QueryHit hit;
     hit.doc_id = section.doc_id;
     hit.file_name = info.file_name;
     hit.context = ctx;
     hit.heading = std::move(section.heading);
     hit.text = std::move(body);
-    ordered.push_back({{section.doc_id, head.node_id}, std::move(hit)});
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<QueryHit> hits;
-  hits.reserve(ordered.size());
-  for (auto& [key, hit] : ordered) hits.push_back(std::move(hit));
-  return hits;
-}
-
-netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuerySpecialized(
-    const QueryPlan& plan, const XdbQuery& query, Stats& stats) const {
-  if (plan.context_query.empty()) return std::vector<QueryHit>{};
-
-  // One loop per content term: postings probe -> RowId walk to the
-  // governing CONTEXT -> intersect at section granularity. A section that
-  // survives the intersection contains every content term (in its heading
-  // or body), so the content predicate is already proven — no second
-  // full-text pass over the section body.
-  std::set<uint64_t> candidates;  // packed context RowIds
-  bool first = true;
-  for (const QueryClause& clause : plan.content_query.clauses) {
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
-    std::set<uint64_t> clause_contexts;
-    for (RowId node : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(node), stats, continue);
-      if (query.doc_id != 0 && rec.doc_id != query.doc_id) continue;
-      NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats, continue);
-      if (ctx.valid()) clause_contexts.insert(ctx.Pack());
-    }
-    if (first) {
-      candidates = std::move(clause_contexts);
-      first = false;
-    } else {
-      std::set<uint64_t> merged;
-      std::set_intersection(candidates.begin(), candidates.end(),
-                            clause_contexts.begin(), clause_contexts.end(),
-                            std::inserter(merged, merged.end()));
-      candidates = std::move(merged);
-    }
-    if (candidates.empty()) return std::vector<QueryHit>{};
-  }
-
-  // Heading-only verification + section assembly (body text built once,
-  // straight into the hit).
-  std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
-  for (uint64_t packed : candidates) {
-    RowId ctx = RowId::Unpack(packed);
-    NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
-                             stats, continue);
-    if (!textindex::Matches(plan.context_query, section.heading)) continue;
-    ++stats.sections_built;
-    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(section.doc_id),
-                             stats, {
-                               store_->NoteQuarantinedDoc(section.doc_id);
-                               continue;
-                             });
-    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
-    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
-    QueryHit hit;
-    hit.doc_id = section.doc_id;
-    hit.file_name = info.file_name;
-    hit.context = ctx;
-    hit.heading = std::move(section.heading);
-    hit.text = std::move(body);
-    ordered.push_back({{section.doc_id, head.node_id}, std::move(hit)});
+    ordered.push_back(
+        {{section.doc_id, section.context_node_id}, std::move(hit)});
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -429,12 +364,6 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::RunPlan(
     case QueryPlan::Kind::kXPath:
       return XPathQuery(plan, query, stats);
     case QueryPlan::Kind::kSectionSpecialized:
-      // The specialized plan carries the same parsed queries, so the
-      // generic path can run it too (the ablation/equivalence knob).
-      if (!options_.use_specialized_section_plan) {
-        return SectionQuery(plan, query, stats);
-      }
-      return SectionQuerySpecialized(plan, query, stats);
     case QueryPlan::Kind::kSection:
       return SectionQuery(plan, query, stats);
     case QueryPlan::Kind::kContentOnly:

@@ -41,10 +41,10 @@ struct ExecuteOptions {
   /// Resolve context walks through logical-id index joins instead of RowId
   /// links — the ablation path for bench_ablation_rowid.
   bool use_index_joins_for_walks = false;
-  /// Run context+content term queries through the specialized
-  /// postings-intersection plan (default). When false they execute through
-  /// the generic seed + verify path — the equivalence/ablation knob for
-  /// tests and bench_query_cache.
+  /// Trust the specialized plan's postings intersection for context+content
+  /// term queries (default). When false the section query also re-matches
+  /// the content key against each section's heading + body, as the generic
+  /// plan does — the knob the plan-equivalence tests flip.
   bool use_specialized_section_plan = true;
 };
 
@@ -125,10 +125,6 @@ class QueryExecutor {
   netmark::Result<std::vector<QueryHit>> SectionQuery(const QueryPlan& plan,
                                                       const XdbQuery& query,
                                                       Stats& stats) const;
-  /// The compiled context+content fast path: one postings-intersection +
-  /// RowId-walk loop at section granularity, heading-only verification.
-  netmark::Result<std::vector<QueryHit>> SectionQuerySpecialized(
-      const QueryPlan& plan, const XdbQuery& query, Stats& stats) const;
   netmark::Result<std::vector<QueryHit>> XPathQuery(const QueryPlan& plan,
                                                     const XdbQuery& query,
                                                     Stats& stats) const;

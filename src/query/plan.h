@@ -6,13 +6,13 @@
 // *shape* (the context/content/xpath triple — doc scope and limit stay
 // runtime parameters), cached and shared across threads.
 //
-// The planner also specializes the dominant production shape —
-// `Context=X&Content=Y` with plain term keys — into a single
-// postings-intersection + RowId-walk loop (kSectionSpecialized): each
+// The planner also marks the dominant production shape —
+// `Context=X&Content=Y` with plain term keys — as kSectionSpecialized. The
+// executor runs it through the same section query as kSection: each
 // content term's postings are walked to their governing CONTEXT rows and
-// intersected at section granularity, which already proves the content
-// predicate, so the per-candidate verification only needs to match the
-// heading — no second full-text pass over the section body.
+// intersected at section granularity. That intersection already proves the
+// content predicate, so the only step a specialized plan skips is
+// re-matching the content key against each section's heading + body.
 //
 // Plans are store-independent (parsed search keys and compiled XPath only),
 // so one plan cache may serve executors over different stores.
@@ -41,7 +41,7 @@ struct QueryPlan {
   enum class Kind {
     kContentOnly,         ///< document-granularity content search
     kSection,             ///< generic seed + verify section search
-    kSectionSpecialized,  ///< postings-intersection + RowId-walk loop
+    kSectionSpecialized,  ///< kSection without the body re-match
     kXPath,               ///< XPath over reconstructed documents
   };
 

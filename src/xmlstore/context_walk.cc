@@ -63,9 +63,12 @@ netmark::Result<RowId> FindGoverningContextViaIndex(const XmlStore& store,
   return netmark::Status::Corruption("context walk did not terminate (link cycle?)");
 }
 
-netmark::Result<std::vector<RowId>> SectionContent(const XmlStore& store,
-                                                   RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord head, store.GetNode(context));
+namespace {
+
+// The content run after an already-read heading row: following siblings up
+// to (not including) the next CONTEXT sibling.
+netmark::Result<std::vector<RowId>> ContentRun(const XmlStore& store,
+                                               const NodeRecord& head) {
   if (!head.is_context()) {
     return netmark::Status::InvalidArgument("SectionContent requires a CONTEXT node");
   }
@@ -80,18 +83,27 @@ netmark::Result<std::vector<RowId>> SectionContent(const XmlStore& store,
   return out;
 }
 
+}  // namespace
+
+netmark::Result<std::vector<RowId>> SectionContent(const XmlStore& store,
+                                                   RowId context) {
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord head, store.GetNode(context));
+  return ContentRun(store, head);
+}
+
 netmark::Result<Section> BuildSection(const XmlStore& store, RowId context) {
   NETMARK_ASSIGN_OR_RETURN(NodeRecord head, store.GetNode(context));
   Section section;
   section.context = context;
+  section.context_node_id = head.node_id;
   section.doc_id = head.doc_id;
   NETMARK_ASSIGN_OR_RETURN(section.heading, store.SubtreeText(context));
-  NETMARK_ASSIGN_OR_RETURN(section.content, SectionContent(store, context));
+  NETMARK_ASSIGN_OR_RETURN(section.content, ContentRun(store, head));
   return section;
 }
 
-netmark::Result<std::string> SectionText(const XmlStore& store, RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> content, SectionContent(store, context));
+netmark::Result<std::string> SectionText(const XmlStore& store,
+                                         const std::vector<RowId>& content) {
   std::string out;
   for (RowId id : content) {
     NETMARK_ASSIGN_OR_RETURN(std::string text, store.SubtreeText(id));
@@ -101,6 +113,11 @@ netmark::Result<std::string> SectionText(const XmlStore& store, RowId context) {
     }
   }
   return out;
+}
+
+netmark::Result<std::string> SectionText(const XmlStore& store, RowId context) {
+  NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> content, SectionContent(store, context));
+  return SectionText(store, content);
 }
 
 }  // namespace netmark::xmlstore

@@ -10,7 +10,8 @@
 // CONTEXT-typed node — the section heading governing the start node. The
 // downward walk then follows forward-sibling links from the heading,
 // collecting content until the next CONTEXT sibling (the next section) or
-// the end of the sibling run.
+// the end of the sibling run. That run is walked once per section:
+// BuildSection records it, and the body text is read from the recorded run.
 //
 // Every hop is one physical RowId fetch — the paper's Oracle-rowid trick.
 // FindGoverningContextViaIndex is the ablation twin that does the same walk
@@ -30,6 +31,7 @@ namespace netmark::xmlstore {
 /// A located section: the CONTEXT node plus its content run.
 struct Section {
   storage::RowId context;                  ///< the heading node
+  int64_t context_node_id = 0;             ///< the heading's NODEID
   std::string heading;                     ///< heading text
   std::vector<storage::RowId> content;     ///< sibling nodes forming the body
   int64_t doc_id = 0;
@@ -52,6 +54,10 @@ netmark::Result<std::vector<storage::RowId>> SectionContent(const XmlStore& stor
 
 /// \brief Materializes a full Section (heading text + content + doc).
 netmark::Result<Section> BuildSection(const XmlStore& store, storage::RowId context);
+
+/// \brief Concatenated text of a content run (e.g. `Section::content`).
+netmark::Result<std::string> SectionText(
+    const XmlStore& store, const std::vector<storage::RowId>& content);
 
 /// \brief Concatenated text of a section's content run.
 netmark::Result<std::string> SectionText(const XmlStore& store,

@@ -592,18 +592,20 @@ netmark::Result<xml::Document> XmlStore::Reconstruct(int64_t doc_id) const {
 netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
   xml::Document out;
   struct Pending {
-    RowId rowid;
+    NodeRecord rec;
     xml::NodeId parent;
   };
-  std::vector<Pending> stack = {{node, out.root()}};
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord root, GetNode(node));
+  std::vector<Pending> stack;
+  stack.push_back(Pending{std::move(root), out.root()});
   while (!stack.empty()) {
-    Pending p = stack.back();
+    Pending p = std::move(stack.back());
     stack.pop_back();
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(p.rowid));
-    xml::NodeId dom_id = MaterializeNode(rec, &out, p.parent);
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> kids, Children(p.rowid));
+    xml::NodeId dom_id = MaterializeNode(p.rec, &out, p.parent);
+    if (p.rec.is_text()) continue;  // text rows are leaves
+    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(p.rec));
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Pending{*it, dom_id});
+      stack.push_back(Pending{std::move(it->second), dom_id});
     }
   }
   return out;
@@ -614,24 +616,29 @@ netmark::Result<NodeRecord> XmlStore::GetNode(RowId id) const {
   return NodeRecord::FromRow(row);
 }
 
-netmark::Result<std::vector<RowId>> XmlStore::Children(RowId node) const {
-  const storage::Epoch epoch = ResolveReadEpoch();
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(node));
-  NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> rowids,
-      xml_table_->IndexLookup("xml_by_parent", IndexKey{Value::Int(rec.node_id)},
-                              epoch));
-  // Order by NODEID (document order).
-  std::vector<std::pair<int64_t, RowId>> keyed;
-  keyed.reserve(rowids.size());
+netmark::Result<std::vector<std::pair<RowId, NodeRecord>>>
+XmlStore::OrderedChildren(const NodeRecord& parent) const {
+  NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> rowids,
+                           NodesWithParent(parent.node_id));
+  std::vector<std::pair<RowId, NodeRecord>> out;
+  out.reserve(rowids.size());
   for (RowId id : rowids) {
     NETMARK_ASSIGN_OR_RETURN(NodeRecord child, GetNode(id));
-    keyed.emplace_back(child.node_id, id);
+    out.emplace_back(id, std::move(child));
   }
-  std::sort(keyed.begin(), keyed.end());
+  // Order by NODEID (document order).
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second.node_id < b.second.node_id;
+  });
+  return out;
+}
+
+netmark::Result<std::vector<RowId>> XmlStore::Children(RowId node) const {
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(node));
+  NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(rec));
   std::vector<RowId> out;
-  out.reserve(keyed.size());
-  for (const auto& [node_id, id] : keyed) out.push_back(id);
+  out.reserve(kids.size());
+  for (const auto& [id, child] : kids) out.push_back(id);
   return out;
 }
 
@@ -658,18 +665,21 @@ netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id)
 
 netmark::Result<std::string> XmlStore::SubtreeText(RowId node) const {
   std::string out;
-  std::vector<RowId> stack = {node};
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord root, GetNode(node));
+  std::vector<NodeRecord> stack;
+  stack.push_back(std::move(root));
   while (!stack.empty()) {
-    RowId id = stack.back();
+    NodeRecord rec = std::move(stack.back());
     stack.pop_back();
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(id));
     if (rec.is_text()) {
       if (!out.empty()) out += ' ';
       out += rec.node_data;
       continue;
     }
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> kids, Children(id));
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(rec));
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      stack.push_back(std::move(it->second));
+    }
   }
   return out;
 }
@@ -679,26 +689,6 @@ std::vector<RowId> XmlStore::TextLookup(std::string_view term) const {
   for (textindex::DocKey key : text_index_.LookupTerm(term)) {
     out.push_back(RowId::Unpack(key));
   }
-  return out;
-}
-
-netmark::Result<std::vector<RowId>> XmlStore::TextScanLookup(
-    std::string_view term) const {
-  std::string folded = netmark::ToLower(term);
-  std::vector<RowId> out;
-  NETMARK_RETURN_NOT_OK(xml_table_->Scan(
-      [&](RowId id, const Row& row) -> netmark::Status {
-        NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(row));
-        if (!rec.is_text()) return netmark::Status::OK();
-        for (const std::string& tok : textindex::TokenizeTerms(rec.node_data)) {
-          if (tok == folded) {
-            out.push_back(id);
-            break;
-          }
-        }
-        return netmark::Status::OK();
-      },
-      ResolveReadEpoch()));
   return out;
 }
 

@@ -179,12 +179,8 @@ class XmlStore {
   /// text_index()).
   std::vector<storage::RowId> TextLookup(std::string_view term) const;
 
-  /// Full scan fallback (for the index-ablation benchmark): TEXT-node RowIds
-  /// whose content contains `term`, found without the index.
-  netmark::Result<std::vector<storage::RowId>> TextScanLookup(
-      std::string_view term) const;
-
-  /// Full-scan evaluation of an arbitrary text query (index ablation).
+  /// Full-scan evaluation of a text query: the index ablation (Ablation B)
+  /// the executor runs when `use_text_index` is off.
   netmark::Result<std::vector<storage::RowId>> TextScanMatch(
       const textindex::TextQuery& query) const;
 
@@ -302,6 +298,11 @@ class XmlStore {
       : db_(std::move(db)), node_types_(std::move(node_types)) {
     for (auto& slot : pin_slots_) slot.store(0, std::memory_order_relaxed);
   }
+
+  /// `parent`'s children in document order, each with the row the ordering
+  /// read, so the subtree walks fetch every row once.
+  netmark::Result<std::vector<std::pair<storage::RowId, NodeRecord>>>
+  OrderedChildren(const NodeRecord& parent) const;
 
   netmark::Status EnsureTables();
   netmark::Status RebuildTextIndex();

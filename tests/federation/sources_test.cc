@@ -69,7 +69,7 @@ TEST(LocalSourceTest, FullCapabilityExecution) {
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].heading, "Budget");
-  EXPECT_NE((*hits)[0].markup.find("<h1>Budget</h1>"), std::string::npos);
+  EXPECT_EQ((*hits)[0].markup, "<p>amount 100</p>");
 }
 
 TEST(RemoteSourceTest, ParsesResultsDocuments) {

@@ -54,21 +54,6 @@ TEST_F(ComposeTest, BuildsResultsDocumentWithSectionMarkup) {
   EXPECT_EQ(xml_text.find("Q3"), std::string::npos);
 }
 
-TEST_F(ComposeTest, TextOnlyModeSkipsMarkup) {
-  auto q = ParseXdbQuery("context=Budget");
-  ASSERT_TRUE(q.ok());
-  QueryExecutor executor(store_.get());
-  auto hits = executor.Execute(*q);
-  ASSERT_TRUE(hits.ok());
-  ComposeOptions opts;
-  opts.include_markup = false;
-  auto composed = ComposeResults(*store_, *q, *hits, opts);
-  ASSERT_TRUE(composed.ok());
-  std::string xml_text = xml::Serialize(*composed);
-  EXPECT_EQ(xml_text.find("<b>"), std::string::npos);
-  EXPECT_NE(xml_text.find("100"), std::string::npos);
-}
-
 TEST_F(ComposeTest, DocumentLevelHitsAreReferences) {
   auto q = ParseXdbQuery("content=thousand");
   ASSERT_TRUE(q.ok());

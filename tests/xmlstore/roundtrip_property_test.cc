@@ -127,6 +127,68 @@ TEST_P(StoreRoundTripProperty, SiblingChainsCoverAllChildren) {
   }
 }
 
+// The DOM nodes under `node` (itself included) in pre-order.
+void PreOrder(const xml::Document& doc, xml::NodeId node,
+              std::vector<xml::NodeId>* out) {
+  out->push_back(node);
+  for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
+       c = doc.next_sibling(c)) {
+    PreOrder(doc, c, out);
+  }
+}
+
+TEST_P(StoreRoundTripProperty, SubtreeWalksMatchWholeDocumentRebuild) {
+  auto dir = netmark::TempDir::Make("subtrees");
+  ASSERT_TRUE(dir.ok());
+  auto store = XmlStore::Open(dir->str());
+  ASSERT_TRUE(store.ok());
+
+  netmark::Rng rng(GetParam() * 17 + 3);
+  xml::Document doc = RandomDocument(&rng, 150);
+  DocumentInfo info;
+  info.file_name = "subtrees.xml";
+  auto id = (*store)->InsertDocument(doc, info);
+  ASSERT_TRUE(id.ok());
+
+  // Reconstruct builds the DOM from DocumentNodes' pre-order rows, so the
+  // rebuilt DOM in pre-order lines up with those rows one to one.
+  auto rebuilt = (*store)->Reconstruct(*id);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  auto nodes = (*store)->DocumentNodes(*id);
+  ASSERT_TRUE(nodes.ok());
+  std::vector<xml::NodeId> dom;
+  for (xml::NodeId c = rebuilt->first_child(rebuilt->root());
+       c != xml::kInvalidNode; c = rebuilt->next_sibling(c)) {
+    PreOrder(*rebuilt, c, &dom);
+  }
+  ASSERT_EQ(dom.size(), nodes->size());
+
+  size_t elements = 0;
+  for (size_t i = 0; i < dom.size(); ++i) {
+    const auto& [rowid, rec] = (*nodes)[i];
+    if (rebuilt->kind(dom[i]) != xml::NodeKind::kElement) continue;
+    ++elements;
+    auto subtree = (*store)->ReconstructSubtree(rowid);
+    ASSERT_TRUE(subtree.ok()) << subtree.status().ToString();
+    EXPECT_EQ(xml::Serialize(*subtree), xml::Serialize(*rebuilt, dom[i]))
+        << "node " << rec.node_id;
+
+    std::vector<xml::NodeId> under;
+    PreOrder(*rebuilt, dom[i], &under);
+    std::string expected;
+    for (xml::NodeId n : under) {
+      xml::NodeKind kind = rebuilt->kind(n);
+      if (kind != xml::NodeKind::kText && kind != xml::NodeKind::kCData) continue;
+      if (!expected.empty()) expected += ' ';
+      expected += rebuilt->data(n);
+    }
+    auto text = (*store)->SubtreeText(rowid);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_EQ(*text, expected) << "node " << rec.node_id;
+  }
+  EXPECT_GT(elements, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreRoundTripProperty,
                          ::testing::Values(1, 7, 42, 1234, 987654));
 

@@ -173,7 +173,7 @@ TEST_F(XmlStoreTest, TextScanAgreesWithIndex) {
   Insert("<d><p>integration of sources</p></d>");
   for (const char* term : {"integration", "seamless", "sources", "missing"}) {
     auto indexed = store_->TextLookup(term);
-    auto scanned = store_->TextScanLookup(term);
+    auto scanned = store_->TextScanMatch(textindex::ParseTextQuery(term));
     ASSERT_TRUE(scanned.ok());
     std::sort(scanned->begin(), scanned->end());
     std::sort(indexed.begin(), indexed.end());
