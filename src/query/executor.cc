@@ -15,7 +15,7 @@ namespace netmark::query {
 using storage::RowId;
 using textindex::QueryClause;
 using textindex::TextQuery;
-using xmlstore::NodeRecord;
+using xmlstore::NodeView;
 
 // Quarantine containment: a read that lands on a checksum-failed page
 // returns Status::DataLoss. Query execution skips the affected node or
@@ -93,7 +93,7 @@ netmark::Result<bool> QueryExecutor::InsideIntense(RowId node) const {
   // levels in practice).
   RowId cur = node;
   for (int hop = 0; hop < 4; ++hop) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store_->GetNode(cur));
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store_->ReadNode(cur));
     if (rec.node_type == xml::NetmarkNodeType::kIntense) return true;
     if (!rec.parent_rowid.valid()) return false;
     cur = rec.parent_rowid;
@@ -117,7 +117,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
     NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
     std::set<int64_t> clause_docs;
     for (RowId id : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(id), stats, continue);
+      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->ReadNode(id), stats, continue);
       if (doc_scope != 0 && rec.doc_id != doc_scope) continue;
       clause_docs.insert(rec.doc_id);
       first_match.emplace(rec.doc_id, id);
@@ -169,11 +169,11 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
         if (heading.ok()) hit.heading = std::move(*heading);
         snippet_loss |= !heading.ok();
       }
-      auto rec = store_->GetNode(anchor->second);
+      auto rec = store_->ReadNode(anchor->second);
       if (!rec.ok() && !rec.status().IsDataLoss()) return rec.status();
       if (rec.ok()) {
         constexpr size_t kSnippetChars = 160;
-        hit.text = rec->node_data.substr(0, kSnippetChars);
+        hit.text = std::string(rec->node_data.substr(0, kSnippetChars));
       }
       snippet_loss |= !ctx.ok() || !rec.ok();
       if (snippet_loss) {
@@ -207,7 +207,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
     NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
     std::set<uint64_t> clause_contexts;
     for (RowId node : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(node), stats, continue);
+      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->ReadNode(node), stats, continue);
       if (query.doc_id != 0 && rec.doc_id != query.doc_id) continue;
       NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats, continue);
       if (ctx.valid()) clause_contexts.insert(ctx.Pack());
@@ -233,13 +233,17 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
       !(plan.kind == QueryPlan::Kind::kSectionSpecialized &&
         options_.use_specialized_section_plan);
 
-  // Verify headings and assemble sections.
+  // Verify headings and assemble sections. A candidate whose heading does
+  // not match is dropped before its content run is walked, so its body is
+  // never read (docs/durability.md: a quarantined page under a rejected
+  // heading leaves the answer complete).
   std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
   for (uint64_t packed : candidates) {
     RowId ctx = RowId::Unpack(packed);
-    NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
+    NETMARK_SKIP_ON_DATALOSS(built, xmlstore::BuildSection(*store_, ctx, &context_query),
                              stats, continue);
-    if (!textindex::Matches(context_query, section.heading)) continue;
+    if (!built) continue;
+    xmlstore::Section& section = *built;
     NETMARK_SKIP_ON_DATALOSS(body,
                              xmlstore::SectionText(*store_, section.content),
                              stats, {

@@ -178,14 +178,40 @@ netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch) const {
   return netmark::Status::Corruption("forward chain too long at " + id.ToString());
 }
 
+netmark::Result<RecordRef> HeapFile::Read(RowId id, Epoch epoch) const {
+  RowId cur = id;
+  for (int hops = 0; hops < 64; ++hops) {
+    RecordRef ref;
+    NETMARK_ASSIGN_OR_RETURN(ref.page_, pager_->FetchAt(cur.page, epoch));
+    std::string_view rec = ref.page_.page().Get(cur.slot);
+    if (rec.empty()) {
+      return netmark::Status::NotFound("no record at " + id.ToString());
+    }
+    uint8_t flags = static_cast<uint8_t>(rec[0]);
+    if (flags & kForwardFlag) {
+      if (rec.size() != 9) return netmark::Status::Corruption("bad forward record");
+      uint64_t packed;
+      std::memcpy(&packed, rec.data() + 1, 8);
+      cur = RowId::Unpack(packed);
+      continue;
+    }
+    if (flags & kOverflowFlag) {
+      NETMARK_ASSIGN_OR_RETURN(std::string data, ReadOverflow(rec.substr(1), epoch));
+      ref.page_ = PageRef();
+      ref.owned_ = std::make_unique<std::string>(std::move(data));
+      ref.bytes_ = *ref.owned_;
+    } else {
+      ref.bytes_ = rec.substr(1);
+    }
+    return ref;
+  }
+  return netmark::Status::Corruption("forward chain too long at " + id.ToString());
+}
+
 netmark::Result<std::string> HeapFile::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, epoch));
-  NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(loc.page, epoch));
-  Page page = ref.page();
-  std::string_view rec = page.Get(loc.slot);
-  uint8_t flags = static_cast<uint8_t>(rec[0]);
-  if (flags & kOverflowFlag) return ReadOverflow(rec.substr(1), epoch);
-  return std::string(rec.substr(1));
+  NETMARK_ASSIGN_OR_RETURN(RecordRef ref, Read(id, epoch));
+  if (ref.owned_) return std::move(*ref.owned_);
+  return std::string(ref.bytes_);
 }
 
 bool HeapFile::Exists(RowId id, Epoch epoch) const {

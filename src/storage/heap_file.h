@@ -4,8 +4,8 @@
 // RowId handed out at insert time stays valid for the record's lifetime:
 //
 //  * updates that no longer fit in place leave a *forward pointer* at the
-//    original slot and relocate the bytes (Get/Update/Delete chase pointers;
-//    chains are collapsed on re-update);
+//    original slot and relocate the bytes (Read/Update/Delete chase
+//    pointers; chains are collapsed on re-update);
 //  * records larger than a page spill to chained *overflow pages*;
 //  * deleted slots tombstone rather than compact, so neighbours keep their
 //    addresses.
@@ -19,12 +19,18 @@
 // Read methods take an Epoch: kLatestEpoch (default) serves the newest
 // published state, a pinned epoch serves that snapshot, and mutators pass
 // kWriterEpoch internally so a transaction sees its own uncommitted writes.
+//
+// Read() is the record read everything else builds on: one page fetch per
+// hop (an inline record that was never relocated costs exactly one fetch),
+// and the bytes are served in place from the fetched page version, which the
+// returned RecordRef keeps pinned. Get() is a copying convenience over it.
 
 #ifndef NETMARK_STORAGE_HEAP_FILE_H_
 #define NETMARK_STORAGE_HEAP_FILE_H_
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -34,6 +40,22 @@
 #include "storage/row_id.h"
 
 namespace netmark::storage {
+
+/// \brief One record as HeapFile::Read found it. An inline record is a view
+/// into its page version, which the reference keeps alive; an overflow
+/// record is assembled into owned bytes. bytes() stays valid across moves of
+/// the reference (the owned bytes live on the heap, never in an SSO buffer).
+class RecordRef {
+ public:
+  RecordRef() = default;
+  std::string_view bytes() const { return bytes_; }
+
+ private:
+  friend class HeapFile;
+  PageRef page_;
+  std::unique_ptr<std::string> owned_;
+  std::string_view bytes_;
+};
 
 /// \brief Record store over a Pager.
 class HeapFile {
@@ -57,8 +79,12 @@ class HeapFile {
   /// Stores a record, returning its permanent RowId.
   netmark::Result<RowId> Insert(std::string_view record);
 
-  /// Fetches a record (assembling overflow chains, chasing forwards) as of
-  /// `epoch`. NotFound covers both "no record" and "page born after epoch".
+  /// Reads a record as of `epoch`, chasing forward pointers with one page
+  /// fetch per hop and assembling overflow chains. NotFound covers both "no
+  /// record" and "page born after epoch".
+  netmark::Result<RecordRef> Read(RowId id, Epoch epoch = kLatestEpoch) const;
+
+  /// Read() copied into a string.
   netmark::Result<std::string> Get(RowId id, Epoch epoch = kLatestEpoch) const;
 
   /// Replaces a record's bytes; the RowId remains valid.

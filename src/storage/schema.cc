@@ -89,20 +89,6 @@ void AppendVarint(std::string* out, uint64_t v) {
   *out += static_cast<char>(v);
 }
 
-netmark::Result<uint64_t> ReadVarint(std::string_view bytes, size_t* pos) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < bytes.size()) {
-    uint8_t b = static_cast<uint8_t>(bytes[*pos]);
-    ++*pos;
-    v |= static_cast<uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-    if (shift > 63) break;
-  }
-  return netmark::Status::Corruption("truncated varint in row encoding");
-}
-
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
@@ -139,52 +125,99 @@ std::string EncodeRow(const Row& row) {
   return out;
 }
 
+bool RowReader::ReadVarint(uint64_t* v) {
+  uint64_t out = 0;
+  for (int shift = 0; shift <= 63 && pos_ < bytes_.size(); shift += 7) {
+    auto b = static_cast<uint8_t>(bytes_[pos_++]);
+    out |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) {
+      *v = out;
+      return true;
+    }
+  }
+  return false;
+}
+
+netmark::Result<uint64_t> RowReader::ReadArity() {
+  uint64_t n;
+  if (!ReadVarint(&n)) {
+    return netmark::Status::Corruption("truncated varint in row encoding");
+  }
+  return n;
+}
+
+netmark::Status RowReader::Next(CellView* cell) {
+  if (pos_ >= bytes_.size()) return netmark::Status::Corruption("truncated row");
+  cell->type = static_cast<ValueType>(bytes_[pos_++]);
+  switch (cell->type) {
+    case ValueType::kNull:
+      return netmark::Status::OK();
+    case ValueType::kInt64: {
+      uint64_t raw;
+      if (!ReadVarint(&raw)) {
+        return netmark::Status::Corruption("truncated varint in row encoding");
+      }
+      cell->i = UnZigZag(raw);
+      return netmark::Status::OK();
+    }
+    case ValueType::kDouble: {
+      if (bytes_.size() - pos_ < sizeof(uint64_t)) {
+        return netmark::Status::Corruption("truncated double in row");
+      }
+      std::memcpy(&cell->d, bytes_.data() + pos_, sizeof(cell->d));
+      pos_ += sizeof(uint64_t);
+      return netmark::Status::OK();
+    }
+    case ValueType::kString: {
+      uint64_t len;
+      if (!ReadVarint(&len)) {
+        return netmark::Status::Corruption("truncated varint in row encoding");
+      }
+      if (len > bytes_.size() - pos_) {
+        return netmark::Status::Corruption("truncated string in row");
+      }
+      cell->str = bytes_.substr(pos_, len);
+      pos_ += len;
+      return netmark::Status::OK();
+    }
+  }
+  return netmark::Status::Corruption("unknown value tag in row");
+}
+
+netmark::Status RowReader::Finish() const {
+  if (pos_ != bytes_.size()) {
+    return netmark::Status::Corruption("trailing bytes after row");
+  }
+  return netmark::Status::OK();
+}
+
 netmark::Result<Row> DecodeRow(std::string_view bytes) {
-  size_t pos = 0;
-  NETMARK_ASSIGN_OR_RETURN(uint64_t n, ReadVarint(bytes, &pos));
+  RowReader reader(bytes);
+  NETMARK_ASSIGN_OR_RETURN(uint64_t n, reader.ReadArity());
+  // Every cell takes at least its tag byte, so a larger count is corrupt
+  // (and must not size the reservation).
+  if (n > bytes.size()) return netmark::Status::Corruption("truncated row");
   Row row;
   row.reserve(n);
+  CellView cell;
   for (uint64_t i = 0; i < n; ++i) {
-    if (pos >= bytes.size()) return netmark::Status::Corruption("truncated row");
-    auto type = static_cast<ValueType>(bytes[pos]);
-    ++pos;
-    switch (type) {
+    NETMARK_RETURN_NOT_OK(reader.Next(&cell));
+    switch (cell.type) {
       case ValueType::kNull:
         row.push_back(Value::Null());
         break;
-      case ValueType::kInt64: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(bytes, &pos));
-        row.push_back(Value::Int(UnZigZag(raw)));
+      case ValueType::kInt64:
+        row.push_back(Value::Int(cell.i));
         break;
-      }
-      case ValueType::kDouble: {
-        if (pos + sizeof(uint64_t) > bytes.size()) {
-          return netmark::Status::Corruption("truncated double in row");
-        }
-        uint64_t bits;
-        std::memcpy(&bits, bytes.data() + pos, sizeof(bits));
-        pos += sizeof(bits);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        row.push_back(Value::Real(d));
+      case ValueType::kDouble:
+        row.push_back(Value::Real(cell.d));
         break;
-      }
-      case ValueType::kString: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(bytes, &pos));
-        if (pos + len > bytes.size()) {
-          return netmark::Status::Corruption("truncated string in row");
-        }
-        row.push_back(Value::Str(std::string(bytes.substr(pos, len))));
-        pos += len;
+      case ValueType::kString:
+        row.push_back(Value::Str(std::string(cell.str)));
         break;
-      }
-      default:
-        return netmark::Status::Corruption("unknown value tag in row");
     }
   }
-  if (pos != bytes.size()) {
-    return netmark::Status::Corruption("trailing bytes after row");
-  }
+  NETMARK_RETURN_NOT_OK(reader.Finish());
   return row;
 }
 

@@ -53,6 +53,37 @@ std::string EncodeRow(const Row& row);
 /// \brief Decodes a row previously produced by EncodeRow.
 netmark::Result<Row> DecodeRow(std::string_view bytes);
 
+/// \brief One cell of an encoded row, decoded in place. `str` views the
+/// encoded bytes; only the member matching `type` is set.
+struct CellView {
+  ValueType type = ValueType::kNull;
+  int64_t i = 0;
+  double d = 0;
+  std::string_view str;
+};
+
+/// \brief Sequential reader over EncodeRow bytes: the column count, then one
+/// cell per Next(). It is the only row decoder — DecodeRow builds Values from
+/// it and the XML store's NodeView reads node rows with it in place. Every
+/// read is bounds-checked; malformed bytes yield Corruption.
+class RowReader {
+ public:
+  explicit RowReader(std::string_view bytes) : bytes_(bytes) {}
+
+  /// The leading column count. Call once, before the first Next().
+  netmark::Result<uint64_t> ReadArity();
+  /// Decodes the next cell into `*cell`.
+  netmark::Status Next(CellView* cell);
+  /// Corruption unless every byte has been consumed.
+  netmark::Status Finish() const;
+
+ private:
+  bool ReadVarint(uint64_t* v);
+
+  std::string_view bytes_;
+  size_t pos_ = 0;
+};
+
 }  // namespace netmark::storage
 
 #endif  // NETMARK_STORAGE_SCHEMA_H_

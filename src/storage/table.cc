@@ -50,8 +50,8 @@ netmark::Result<RowId> Table::Insert(const Row& row) {
 }
 
 netmark::Result<Row> Table::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id, epoch));
-  return DecodeRow(bytes);
+  NETMARK_ASSIGN_OR_RETURN(RecordRef record, heap_->Read(id, epoch));
+  return DecodeRow(record.bytes());
 }
 
 netmark::Status Table::Update(RowId id, const Row& row) {
@@ -86,7 +86,7 @@ netmark::Status Table::Delete(RowId id) {
 netmark::Status Table::Scan(
     const std::function<netmark::Status(RowId, const Row&)>& fn,
     Epoch epoch) const {
-  return heap_->Scan(
+  return ScanRecords(
       [&](RowId id, std::string_view bytes) -> netmark::Status {
         NETMARK_ASSIGN_OR_RETURN(Row row, DecodeRow(bytes));
         return fn(id, row);

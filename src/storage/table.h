@@ -49,11 +49,24 @@ class Table {
 
   /// Validates against the schema and stores the row.
   netmark::Result<RowId> Insert(const Row& row);
+  /// The row's encoded bytes, read in place (HeapFile::Read): decode them
+  /// with RowReader, or DecodeRow as Get() does.
+  netmark::Result<RecordRef> Read(RowId id, Epoch epoch = kLatestEpoch) const {
+    return heap_->Read(id, epoch);
+  }
   netmark::Result<Row> Get(RowId id, Epoch epoch = kLatestEpoch) const;
   netmark::Status Update(RowId id, const Row& row);
   netmark::Status Delete(RowId id);
 
-  /// Visits every row live as of `epoch`. Stops on non-OK from `fn`.
+  /// Visits every row live as of `epoch` as its encoded bytes (valid for
+  /// the call only). Stops on non-OK from `fn`.
+  netmark::Status ScanRecords(
+      const std::function<netmark::Status(RowId, std::string_view)>& fn,
+      Epoch epoch = kLatestEpoch) const {
+    return heap_->Scan(fn, epoch);
+  }
+
+  /// ScanRecords with every row decoded.
   netmark::Status Scan(
       const std::function<netmark::Status(RowId, const Row&)>& fn,
       Epoch epoch = kLatestEpoch) const;

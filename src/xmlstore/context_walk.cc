@@ -13,7 +13,7 @@ netmark::Result<RowId> FindGoverningContext(const XmlStore& store, RowId start) 
   // Bounded to the store's node count in principle; use a generous hop cap to
   // guard against link corruption.
   for (int hops = 0; hops < 1 << 20; ++hops) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store.GetNode(cur));
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store.ReadNode(cur));
     if (rec.is_context()) return cur;  // includes the case where the hit IS a heading
     if (rec.prev_rowid.valid()) {
       cur = rec.prev_rowid;
@@ -34,7 +34,7 @@ netmark::Result<RowId> FindGoverningContextViaIndex(const XmlStore& store,
   // is what a store without physical links must do.
   RowId cur = start;
   for (int hops = 0; hops < 1 << 20; ++hops) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store.GetNode(cur));
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store.ReadNode(cur));
     if (rec.is_context()) return cur;
     // Find the previous sibling via an index join on the parent's children.
     RowId prev = storage::kInvalidRowId;
@@ -43,7 +43,7 @@ netmark::Result<RowId> FindGoverningContextViaIndex(const XmlStore& store,
                                store.NodesWithParent(rec.parent_node_id));
       int64_t best = -1;
       for (RowId sid : siblings) {
-        NETMARK_ASSIGN_OR_RETURN(NodeRecord s, store.GetNode(sid));
+        NETMARK_ASSIGN_OR_RETURN(NodeView s, store.ReadNode(sid));
         if (s.node_id < rec.node_id && s.node_id > best) {
           best = s.node_id;
           prev = sid;
@@ -68,14 +68,14 @@ namespace {
 // The content run after an already-read heading row: following siblings up
 // to (not including) the next CONTEXT sibling.
 netmark::Result<std::vector<RowId>> ContentRun(const XmlStore& store,
-                                               const NodeRecord& head) {
+                                               const NodeView& head) {
   if (!head.is_context()) {
     return netmark::Status::InvalidArgument("SectionContent requires a CONTEXT node");
   }
   std::vector<RowId> out;
   RowId cur = head.sibling_rowid;
   for (int hops = 0; cur.valid() && hops < 1 << 20; ++hops) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store.GetNode(cur));
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store.ReadNode(cur));
     if (rec.is_context()) break;  // next section begins
     out.push_back(cur);
     cur = rec.sibling_rowid;
@@ -87,19 +87,23 @@ netmark::Result<std::vector<RowId>> ContentRun(const XmlStore& store,
 
 netmark::Result<std::vector<RowId>> SectionContent(const XmlStore& store,
                                                    RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord head, store.GetNode(context));
+  NETMARK_ASSIGN_OR_RETURN(NodeView head, store.ReadNode(context));
   return ContentRun(store, head);
 }
 
-netmark::Result<Section> BuildSection(const XmlStore& store, RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord head, store.GetNode(context));
+netmark::Result<std::optional<Section>> BuildSection(
+    const XmlStore& store, RowId context, const textindex::TextQuery* heading_query) {
+  NETMARK_ASSIGN_OR_RETURN(NodeView head, store.ReadNode(context));
   Section section;
   section.context = context;
   section.context_node_id = head.node_id;
   section.doc_id = head.doc_id;
-  NETMARK_ASSIGN_OR_RETURN(section.heading, store.SubtreeText(context));
+  NETMARK_ASSIGN_OR_RETURN(section.heading, store.SubtreeText(head));
+  if (heading_query != nullptr && !textindex::Matches(*heading_query, section.heading)) {
+    return std::optional<Section>();
+  }
   NETMARK_ASSIGN_OR_RETURN(section.content, ContentRun(store, head));
-  return section;
+  return std::optional<Section>(std::move(section));
 }
 
 netmark::Result<std::string> SectionText(const XmlStore& store,

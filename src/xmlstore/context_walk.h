@@ -10,20 +10,27 @@
 // CONTEXT-typed node — the section heading governing the start node. The
 // downward walk then follows forward-sibling links from the heading,
 // collecting content until the next CONTEXT sibling (the next section) or
-// the end of the sibling run. That run is walked once per section:
-// BuildSection records it, and the body text is read from the recorded run.
+// the end of the sibling run. BuildSection reads the heading row once,
+// builds the heading text from it and, when a heading query is given,
+// matches it before walking the content run, so a rejected candidate costs
+// no body reads. The run is walked once per section: BuildSection records
+// it, and the body text is read from the recorded run.
 //
-// Every hop is one physical RowId fetch — the paper's Oracle-rowid trick.
-// FindGoverningContextViaIndex is the ablation twin that does the same walk
-// with logical-id index joins instead (bench_ablation_rowid).
+// Every hop is one physical RowId fetch — the paper's Oracle-rowid trick —
+// decoded in place (XmlStore::ReadNode / NodeView): one page fetch, no
+// string copies. FindGoverningContextViaIndex is the ablation twin that
+// does the same walk with logical-id index joins instead
+// (bench_ablation_rowid).
 
 #ifndef NETMARK_XMLSTORE_CONTEXT_WALK_H_
 #define NETMARK_XMLSTORE_CONTEXT_WALK_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "textindex/text_query.h"
 #include "xmlstore/xml_store.h"
 
 namespace netmark::xmlstore {
@@ -52,8 +59,12 @@ netmark::Result<storage::RowId> FindGoverningContextViaIndex(const XmlStore& sto
 netmark::Result<std::vector<storage::RowId>> SectionContent(const XmlStore& store,
                                                             storage::RowId context);
 
-/// \brief Materializes a full Section (heading text + content + doc).
-netmark::Result<Section> BuildSection(const XmlStore& store, storage::RowId context);
+/// \brief Materializes a full Section (heading text + content + doc). When
+/// `heading_query` is given and the heading does not match it, returns
+/// nullopt without walking the content run.
+netmark::Result<std::optional<Section>> BuildSection(
+    const XmlStore& store, storage::RowId context,
+    const textindex::TextQuery* heading_query = nullptr);
 
 /// \brief Concatenated text of a content run (e.g. `Section::content`).
 netmark::Result<std::string> SectionText(

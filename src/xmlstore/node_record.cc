@@ -42,22 +42,80 @@ Row NodeRecord::ToRow() const {
   return row;
 }
 
-netmark::Result<NodeRecord> NodeRecord::FromRow(const Row& row) {
-  if (row.size() != 9) {
-    return netmark::Status::Corruption("XML row has wrong arity");
+namespace {
+
+netmark::Status IntColumn(storage::RowReader& reader, int64_t* out) {
+  storage::CellView cell;
+  NETMARK_RETURN_NOT_OK(reader.Next(&cell));
+  if (cell.type != ValueType::kInt64) {
+    return netmark::Status::Corruption("XML row: integer column has wrong type");
   }
+  *out = cell.i;
+  return netmark::Status::OK();
+}
+
+netmark::Status RowIdColumn(storage::RowReader& reader, RowId* out) {
+  int64_t packed;
+  NETMARK_RETURN_NOT_OK(IntColumn(reader, &packed));
+  *out = RowId::Unpack(static_cast<uint64_t>(packed));
+  return netmark::Status::OK();
+}
+
+// NULL reads as "" (ToRow stores empty strings as NULL).
+netmark::Status StringColumn(storage::RowReader& reader, std::string_view* out) {
+  storage::CellView cell;
+  NETMARK_RETURN_NOT_OK(reader.Next(&cell));
+  if (cell.type == ValueType::kString) {
+    *out = cell.str;
+  } else if (cell.type != ValueType::kNull) {
+    return netmark::Status::Corruption("XML row: string column has wrong type");
+  }
+  return netmark::Status::OK();
+}
+
+}  // namespace
+
+netmark::Result<NodeView> NodeView::Decode(std::string_view bytes) {
+  storage::RowReader reader(bytes);
+  NETMARK_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadArity());
+  if (arity != 9) return netmark::Status::Corruption("XML row has wrong arity");
+  NodeView v;
+  int64_t type;
+  NETMARK_RETURN_NOT_OK(IntColumn(reader, &v.node_id));
+  NETMARK_RETURN_NOT_OK(IntColumn(reader, &v.doc_id));
+  NETMARK_RETURN_NOT_OK(RowIdColumn(reader, &v.parent_rowid));
+  NETMARK_RETURN_NOT_OK(IntColumn(reader, &v.parent_node_id));
+  NETMARK_RETURN_NOT_OK(IntColumn(reader, &type));
+  NETMARK_RETURN_NOT_OK(StringColumn(reader, &v.node_name));
+  NETMARK_RETURN_NOT_OK(StringColumn(reader, &v.node_data));
+  NETMARK_RETURN_NOT_OK(RowIdColumn(reader, &v.sibling_rowid));
+  NETMARK_RETURN_NOT_OK(RowIdColumn(reader, &v.prev_rowid));
+  NETMARK_RETURN_NOT_OK(reader.Finish());
+  if (type != static_cast<int32_t>(type)) {
+    return netmark::Status::Corruption("XML row has a bad NODETYPE");
+  }
+  NETMARK_ASSIGN_OR_RETURN(v.node_type,
+                           xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(type)));
+  return v;
+}
+
+netmark::Result<NodeView> NodeView::Decode(storage::RecordRef record) {
+  NETMARK_ASSIGN_OR_RETURN(NodeView v, Decode(record.bytes()));
+  v.record_ = std::move(record);
+  return v;
+}
+
+NodeRecord NodeView::ToRecord() const {
   NodeRecord r;
-  r.node_id = row[kNodeId].AsInt();
-  r.doc_id = row[kDocId].AsInt();
-  r.parent_rowid = RowId::Unpack(static_cast<uint64_t>(row[kParentRowId].AsInt()));
-  r.parent_node_id = row[kParentNodeId].AsInt();
-  NETMARK_ASSIGN_OR_RETURN(
-      r.node_type,
-      xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(row[kNodeType].AsInt())));
-  if (!row[kNodeName].is_null()) r.node_name = row[kNodeName].AsStr();
-  if (!row[kNodeData].is_null()) r.node_data = row[kNodeData].AsStr();
-  r.sibling_rowid = RowId::Unpack(static_cast<uint64_t>(row[kSiblingId].AsInt()));
-  r.prev_rowid = RowId::Unpack(static_cast<uint64_t>(row[kPrevRowId].AsInt()));
+  r.node_id = node_id;
+  r.doc_id = doc_id;
+  r.parent_rowid = parent_rowid;
+  r.parent_node_id = parent_node_id;
+  r.node_type = node_type;
+  r.node_name = std::string(node_name);
+  r.node_data = std::string(node_data);
+  r.sibling_rowid = sibling_rowid;
+  r.prev_rowid = prev_rowid;
   return r;
 }
 

@@ -8,6 +8,12 @@
 // published column list only identifies a single SIBLINGID; we keep SIBLINGID
 // as the forward link (used to walk a section's content) and add the backward
 // link explicitly. See DESIGN.md.
+//
+// Two shapes of the same row: NodeView reads a row in place — integer
+// columns decoded, NODENAME/NODEDATA as views into the record — and is what
+// every walk hop uses. NodeRecord owns its strings; it is what the writer
+// encodes (ToRow) and what readers build (NodeView::ToRecord) only where a
+// row must outlive its record: the subtree stacks and reconstruction.
 
 #ifndef NETMARK_XMLSTORE_NODE_RECORD_H_
 #define NETMARK_XMLSTORE_NODE_RECORD_H_
@@ -17,6 +23,7 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "storage/heap_file.h"
 #include "storage/row_id.h"
 #include "storage/schema.h"
 #include "xml/node_type_config.h"
@@ -57,10 +64,42 @@ struct NodeRecord {
   };
 
   storage::Row ToRow() const;
-  static netmark::Result<NodeRecord> FromRow(const storage::Row& row);
 
   bool is_context() const { return node_type == xml::NetmarkNodeType::kContext; }
   bool is_text() const { return node_type == xml::NetmarkNodeType::kText; }
+};
+
+/// \brief An XML-table row decoded in place: the fields of NodeRecord, with
+/// NODENAME and NODEDATA as views that stay valid while the NodeView lives
+/// (it holds the record it was decoded from). Movable, not copyable.
+class NodeView {
+ public:
+  /// Decodes a row image (EncodeRow of NodeRecord::ToRow). The string
+  /// fields alias `bytes`, which must outlive the view. Malformed bytes —
+  /// truncated, wrong arity, wrong column types, an unknown NODETYPE —
+  /// yield Corruption.
+  static netmark::Result<NodeView> Decode(std::string_view bytes);
+  /// Decodes a record read from the XML table; the view keeps it alive.
+  static netmark::Result<NodeView> Decode(storage::RecordRef record);
+
+  int64_t node_id = 0;
+  int64_t doc_id = 0;
+  storage::RowId parent_rowid;
+  int64_t parent_node_id = -1;
+  xml::NetmarkNodeType node_type = xml::NetmarkNodeType::kElement;
+  std::string_view node_name;
+  std::string_view node_data;
+  storage::RowId sibling_rowid;
+  storage::RowId prev_rowid;
+
+  bool is_context() const { return node_type == xml::NetmarkNodeType::kContext; }
+  bool is_text() const { return node_type == xml::NetmarkNodeType::kText; }
+
+  /// An owning copy, for rows kept beyond the view.
+  NodeRecord ToRecord() const;
+
+ private:
+  storage::RecordRef record_;
 };
 
 /// \brief Decoded DOC-table row (paper Fig 5: FILE_NAME, FILE_DATE,

@@ -319,12 +319,13 @@ netmark::Status XmlStore::EnsureTables() {
 netmark::Status XmlStore::RebuildTextIndex() {
   next_node_id_ = 1;
   next_doc_id_ = 1;
-  NETMARK_RETURN_NOT_OK(xml_table_->Scan([&](RowId id, const Row& row) -> netmark::Status {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(row));
-    next_node_id_ = std::max(next_node_id_, rec.node_id + 1);
-    if (rec.is_text()) text_index_.Add(id.Pack(), rec.node_data);
-    return netmark::Status::OK();
-  }));
+  NETMARK_RETURN_NOT_OK(xml_table_->ScanRecords(
+      [&](RowId id, std::string_view bytes) -> netmark::Status {
+        NETMARK_ASSIGN_OR_RETURN(NodeView rec, NodeView::Decode(bytes));
+        next_node_id_ = std::max(next_node_id_, rec.node_id + 1);
+        if (rec.is_text()) text_index_.Add(id.Pack(), rec.node_data);
+        return netmark::Status::OK();
+      }));
   NETMARK_RETURN_NOT_OK(doc_table_->Scan([&](RowId, const Row& row) -> netmark::Status {
     NETMARK_ASSIGN_OR_RETURN(DocRecord rec, DocRecord::FromRow(row));
     next_doc_id_ = std::max(next_doc_id_, rec.doc_id + 1);
@@ -438,16 +439,15 @@ netmark::Result<int64_t> XmlStore::InsertPreparedLocked(const PreparedDocument& 
 
 netmark::Result<std::vector<std::pair<RowId, NodeRecord>>> XmlStore::DocumentNodes(
     int64_t doc_id) const {
-  const storage::Epoch epoch = ResolveReadEpoch();
-  NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> rowids,
-      xml_table_->IndexPrefix("xml_by_doc", IndexKey{Value::Int(doc_id)}, epoch));
+  NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> rowids,
+                           xml_table_->IndexPrefix("xml_by_doc",
+                                                   IndexKey{Value::Int(doc_id)},
+                                                   ResolveReadEpoch()));
   std::vector<std::pair<RowId, NodeRecord>> out;
   out.reserve(rowids.size());
   for (RowId id : rowids) {
-    NETMARK_ASSIGN_OR_RETURN(Row row, xml_table_->Get(id, epoch));
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(row));
-    out.emplace_back(id, std::move(rec));
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, ReadNode(id));
+    out.emplace_back(id, rec.ToRecord());
   }
   return out;
 }
@@ -595,15 +595,15 @@ netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
     NodeRecord rec;
     xml::NodeId parent;
   };
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord root, GetNode(node));
+  NETMARK_ASSIGN_OR_RETURN(NodeView root, ReadNode(node));
   std::vector<Pending> stack;
-  stack.push_back(Pending{std::move(root), out.root()});
+  stack.push_back(Pending{root.ToRecord(), out.root()});
   while (!stack.empty()) {
     Pending p = std::move(stack.back());
     stack.pop_back();
     xml::NodeId dom_id = MaterializeNode(p.rec, &out, p.parent);
     if (p.rec.is_text()) continue;  // text rows are leaves
-    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(p.rec));
+    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(p.rec.node_id));
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.push_back(Pending{std::move(it->second), dom_id});
     }
@@ -611,20 +611,21 @@ netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
   return out;
 }
 
-netmark::Result<NodeRecord> XmlStore::GetNode(RowId id) const {
-  NETMARK_ASSIGN_OR_RETURN(Row row, xml_table_->Get(id, ResolveReadEpoch()));
-  return NodeRecord::FromRow(row);
+netmark::Result<NodeView> XmlStore::ReadNode(RowId id) const {
+  NETMARK_ASSIGN_OR_RETURN(storage::RecordRef record,
+                           xml_table_->Read(id, ResolveReadEpoch()));
+  return NodeView::Decode(std::move(record));
 }
 
 netmark::Result<std::vector<std::pair<RowId, NodeRecord>>>
-XmlStore::OrderedChildren(const NodeRecord& parent) const {
+XmlStore::OrderedChildren(int64_t parent_node_id) const {
   NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> rowids,
-                           NodesWithParent(parent.node_id));
+                           NodesWithParent(parent_node_id));
   std::vector<std::pair<RowId, NodeRecord>> out;
   out.reserve(rowids.size());
   for (RowId id : rowids) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord child, GetNode(id));
-    out.emplace_back(id, std::move(child));
+    NETMARK_ASSIGN_OR_RETURN(NodeView child, ReadNode(id));
+    out.emplace_back(id, child.ToRecord());
   }
   // Order by NODEID (document order).
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -634,8 +635,8 @@ XmlStore::OrderedChildren(const NodeRecord& parent) const {
 }
 
 netmark::Result<std::vector<RowId>> XmlStore::Children(RowId node) const {
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(node));
-  NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(rec));
+  NETMARK_ASSIGN_OR_RETURN(NodeView rec, ReadNode(node));
+  NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(rec.node_id));
   std::vector<RowId> out;
   out.reserve(kids.size());
   for (const auto& [id, child] : kids) out.push_back(id);
@@ -664,10 +665,22 @@ netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id)
 }
 
 netmark::Result<std::string> XmlStore::SubtreeText(RowId node) const {
+  NETMARK_ASSIGN_OR_RETURN(NodeView root, ReadNode(node));
+  return SubtreeText(root);
+}
+
+netmark::Result<std::string> XmlStore::SubtreeText(const NodeView& root) const {
+  if (root.is_text()) return std::string(root.node_data);
   std::string out;
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord root, GetNode(node));
   std::vector<NodeRecord> stack;
-  stack.push_back(std::move(root));
+  auto push_children = [&](int64_t node_id) -> netmark::Status {
+    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(node_id));
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      stack.push_back(std::move(it->second));
+    }
+    return netmark::Status::OK();
+  };
+  NETMARK_RETURN_NOT_OK(push_children(root.node_id));
   while (!stack.empty()) {
     NodeRecord rec = std::move(stack.back());
     stack.pop_back();
@@ -676,10 +689,7 @@ netmark::Result<std::string> XmlStore::SubtreeText(RowId node) const {
       out += rec.node_data;
       continue;
     }
-    NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(rec));
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(std::move(it->second));
-    }
+    NETMARK_RETURN_NOT_OK(push_children(rec.node_id));
   }
   return out;
 }
@@ -901,9 +911,9 @@ netmark::Result<std::vector<RowId>> XmlStore::TextScanMatch(
     const textindex::TextQuery& query) const {
   std::vector<RowId> out;
   if (query.empty()) return out;
-  NETMARK_RETURN_NOT_OK(xml_table_->Scan(
-      [&](RowId id, const Row& row) -> netmark::Status {
-        NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(row));
+  NETMARK_RETURN_NOT_OK(xml_table_->ScanRecords(
+      [&](RowId id, std::string_view bytes) -> netmark::Status {
+        NETMARK_ASSIGN_OR_RETURN(NodeView rec, NodeView::Decode(bytes));
         if (rec.is_text() && textindex::Matches(query, rec.node_data)) {
           out.push_back(id);
         }

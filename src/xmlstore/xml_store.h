@@ -143,9 +143,9 @@ class XmlStore {
   // innermost live ReadSnapshot on this store (writer-latest when none is
   // held), so signatures stay epoch-free.
 
-  /// Fetches one node row by physical address — the O(1) hop everything
-  /// else builds on.
-  netmark::Result<NodeRecord> GetNode(storage::RowId id) const;
+  /// Reads one node row by physical address — the O(1) hop everything else
+  /// builds on: one page fetch, decoded in place (NodeView).
+  netmark::Result<NodeView> ReadNode(storage::RowId id) const;
 
   /// RowIds of `node`'s children, in document order (index join on
   /// PARENTNODEID; the rowid links only cover parent/sibling hops, as in the
@@ -163,6 +163,8 @@ class XmlStore {
 
   /// Concatenated text of the subtree rooted at `node`.
   netmark::Result<std::string> SubtreeText(storage::RowId node) const;
+  /// The same, from a root row the caller has already read.
+  netmark::Result<std::string> SubtreeText(const NodeView& root) const;
 
   /// All node rows of a document in pre-order (NODEID order).
   netmark::Result<std::vector<std::pair<storage::RowId, NodeRecord>>> DocumentNodes(
@@ -299,10 +301,10 @@ class XmlStore {
     for (auto& slot : pin_slots_) slot.store(0, std::memory_order_relaxed);
   }
 
-  /// `parent`'s children in document order, each with the row the ordering
-  /// read, so the subtree walks fetch every row once.
+  /// The children of node `parent_node_id` in document order, each with the
+  /// row the ordering read, so the subtree walks fetch every row once.
   netmark::Result<std::vector<std::pair<storage::RowId, NodeRecord>>>
-  OrderedChildren(const NodeRecord& parent) const;
+  OrderedChildren(int64_t parent_node_id) const;
 
   netmark::Status EnsureTables();
   netmark::Status RebuildTextIndex();

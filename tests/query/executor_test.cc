@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "common/temp_dir.h"
 #include "query/plan.h"
 #include "query/result_cache.h"
@@ -238,6 +240,97 @@ TEST_F(ExecutorTest, ExecuteAcceptsCallerSnapshot) {
   ASSERT_TRUE(hits.ok());
   EXPECT_FALSE(hits->empty());
   EXPECT_TRUE(snapshot.valid());
+}
+
+// A heading is matched before its body is read, so a quarantined page
+// holding only the body of a rejected candidate does not make the answer
+// partial, while the same page under a matching heading still does.
+class ExecutorQuarantineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto dir = netmark::TempDir::Make("executor_quarantine");
+    ASSERT_TRUE(dir.ok());
+    dir_ = std::make_unique<netmark::TempDir>(std::move(*dir));
+    auto store = xmlstore::XmlStore::Open(dir_->str());
+    ASSERT_TRUE(store.ok());
+    // "Beta"'s first paragraph nearly fills a page of its own, pushing the
+    // second paragraph — the rest of the Beta content run — onto the next
+    // page, which is then corrupted on disk.
+    std::string filler;
+    while (filler.size() < 8100) filler += "filler ";
+    Insert(**store, "alpha.xml", "<doc><h1>Alpha</h1><p>alpha body</p></doc>");
+    int64_t beta = Insert(**store, "beta.xml",
+                          "<doc><h1>Beta</h1><p>mentions Alpha " + filler +
+                              "</p><p>second paragraph</p></doc>");
+    auto nodes = (*store)->DocumentNodes(beta);
+    ASSERT_TRUE(nodes.ok());
+    ASSERT_EQ(nodes->size(), 7u);
+    const storage::PageId heading_page = (*nodes)[1].first.page;
+    const storage::PageId mention_page = (*nodes)[4].first.page;
+    const storage::PageId second_page = (*nodes)[5].first.page;
+    ASSERT_EQ((*nodes)[5].second.node_name, "p");
+    ASSERT_NE(second_page, heading_page);
+    ASSERT_NE(second_page, mention_page);
+    store->reset();  // checkpoints: the heap file holds every page
+
+    std::fstream f(dir_->path() / "XML.heap",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    const auto offset =
+        static_cast<std::streamoff>(second_page * storage::kPageSize + 100);
+    char c = 0;
+    f.seekg(offset);
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x40);
+    f.seekp(offset);
+    f.write(&c, 1);
+    f.close();
+
+    auto reopened = xmlstore::XmlStore::Open(dir_->str());
+    ASSERT_TRUE(reopened.ok());
+    store_ = std::move(*reopened);
+  }
+
+  static int64_t Insert(xmlstore::XmlStore& store, const std::string& name,
+                        const std::string& markup) {
+    auto doc = xml::ParseXml(markup);
+    EXPECT_TRUE(doc.ok());
+    xmlstore::DocumentInfo info;
+    info.file_name = name;
+    auto id = store.InsertDocument(*doc, info);
+    EXPECT_TRUE(id.ok());
+    return id.ok() ? *id : 0;
+  }
+
+  std::vector<QueryHit> Run(const std::string& query_string,
+                            QueryExecutor::Stats* stats) {
+    auto q = ParseXdbQuery(query_string);
+    EXPECT_TRUE(q.ok());
+    QueryExecutor executor(store_.get());
+    auto hits = executor.Execute(*q, stats);
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    return hits.ok() ? *hits : std::vector<QueryHit>{};
+  }
+
+  std::unique_ptr<netmark::TempDir> dir_;
+  std::unique_ptr<xmlstore::XmlStore> store_;
+};
+
+TEST_F(ExecutorQuarantineTest, QuarantinedBodyUnderRejectedHeadingLeavesAnswerComplete) {
+  // "Alpha" is also mentioned in Beta's body, so Beta's heading is a
+  // candidate; it is rejected before its content run reaches the bad page.
+  QueryExecutor::Stats stats;
+  auto hits = Run("context=Alpha", &stats);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].heading, "Alpha");
+  EXPECT_EQ(stats.quarantined_skips, 0u);
+}
+
+TEST_F(ExecutorQuarantineTest, QuarantinedBodyUnderMatchingHeadingMarksAnswerPartial) {
+  QueryExecutor::Stats stats;
+  auto hits = Run("context=Beta", &stats);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_GT(stats.quarantined_skips, 0u);
 }
 
 }  // namespace

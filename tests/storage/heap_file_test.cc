@@ -178,6 +178,78 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   EXPECT_EQ(*heap_->Get(*c), "after reopen");
 }
 
+TEST_F(HeapFileTest, ReadServesInlineRecordInPlace) {
+  auto id = heap_->Insert("inline record");
+  ASSERT_TRUE(id.ok());
+  Publish();
+  auto ref = heap_->Read(*id);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref->bytes(), "inline record");
+  // The view survives a move of the reference.
+  RecordRef moved = std::move(*ref);
+  EXPECT_EQ(moved.bytes(), "inline record");
+}
+
+TEST_F(HeapFileTest, ReadFollowsForwardAfterGrowingUpdate) {
+  auto id = heap_->Insert("short record");
+  auto neighbour = heap_->Insert("neighbour record");
+  ASSERT_TRUE(id.ok() && neighbour.ok());
+  std::string grown(3000, 'g');
+  ASSERT_TRUE(heap_->Update(*id, grown).ok());
+  Publish();
+  auto ref = heap_->Read(*id);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref->bytes(), grown);
+  EXPECT_EQ(heap_->Read(*neighbour)->bytes(), "neighbour record");
+}
+
+TEST_F(HeapFileTest, ReadAssemblesOverflowRecord) {
+  std::string big;
+  for (int i = 0; i < 40000; ++i) big += static_cast<char>('a' + (i % 26));
+  auto id = heap_->Insert(big);
+  ASSERT_TRUE(id.ok());
+  Publish();
+  auto ref = heap_->Read(*id);
+  ASSERT_TRUE(ref.ok());
+  RecordRef moved = std::move(*ref);
+  EXPECT_EQ(moved.bytes(), big);
+}
+
+TEST_F(HeapFileTest, ReadOfTombstoneIsNotFound) {
+  auto id = heap_->Insert("doomed record");
+  ASSERT_TRUE(id.ok());
+  Publish();
+  ASSERT_TRUE(heap_->Delete(*id).ok());
+  Publish();
+  EXPECT_TRUE(heap_->Read(*id).status().IsNotFound());
+}
+
+TEST_F(HeapFileTest, ReadOfPageBornAfterEpochIsNotFound) {
+  auto first = heap_->Insert(std::string(5000, 'a'));
+  ASSERT_TRUE(first.ok());
+  Publish();
+  const Epoch before = epoch_;
+  auto later = heap_->Insert(std::string(5000, 'b'));  // needs a new page
+  ASSERT_TRUE(later.ok());
+  ASSERT_NE(later->page, first->page);
+  Publish();
+  EXPECT_TRUE(heap_->Read(*later, before).status().IsNotFound());
+  EXPECT_EQ(heap_->Read(*later)->bytes(), std::string(5000, 'b'));
+  EXPECT_EQ(heap_->Read(*first, before)->bytes(), std::string(5000, 'a'));
+}
+
+TEST_F(HeapFileTest, PinnedEpochReadsPreUpdateBytesAfterRelocation) {
+  auto id = heap_->Insert("original bytes");
+  ASSERT_TRUE(id.ok());
+  Publish();
+  const Epoch pinned = epoch_;
+  std::string grown(6000, 'R');
+  ASSERT_TRUE(heap_->Update(*id, grown).ok());
+  Publish();
+  EXPECT_EQ(heap_->Read(*id, pinned)->bytes(), "original bytes");
+  EXPECT_EQ(heap_->Read(*id)->bytes(), grown);
+}
+
 TEST_F(HeapFileTest, RandomizedWorkloadMatchesReferenceMap) {
   netmark::Rng rng(2025);
   std::map<uint64_t, std::string> reference;
@@ -213,6 +285,9 @@ TEST_F(HeapFileTest, RandomizedWorkloadMatchesReferenceMap) {
     auto got = heap_->Get(RowId::Unpack(packed));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, expected);
+    auto read = heap_->Read(RowId::Unpack(packed));
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->bytes(), expected);
   }
   size_t scanned = 0;
   ASSERT_TRUE(heap_

@@ -102,6 +102,12 @@ TEST(RowCodecTest, DetectsTruncationAndTrailingBytes) {
   EXPECT_TRUE(DecodeRow("").status().IsCorruption());
 }
 
+TEST(RowCodecTest, HugeColumnCountIsCorruptionNotAnAllocation) {
+  // A varint count of 2^62 with no cells after it.
+  std::string bytes("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 9);
+  EXPECT_TRUE(DecodeRow(bytes).status().IsCorruption());
+}
+
 TEST(RowCodecTest, LargeStringSurvives) {
   std::string big(100000, 'q');
   auto decoded = DecodeRow(EncodeRow({Value::Str(big)}));

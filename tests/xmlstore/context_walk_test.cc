@@ -124,9 +124,24 @@ TEST_F(ContextWalkTest, BuildSectionAssemblesEverything) {
   ASSERT_TRUE(ctx.ok());
   auto section = BuildSection(*store_, *ctx);
   ASSERT_TRUE(section.ok());
-  EXPECT_EQ(section->heading, "Technology Gap");
-  EXPECT_EQ(section->doc_id, doc_id_);
-  EXPECT_EQ(section->content.size(), 1u);
+  ASSERT_TRUE(section->has_value());
+  EXPECT_EQ((*section)->heading, "Technology Gap");
+  EXPECT_EQ((*section)->doc_id, doc_id_);
+  EXPECT_EQ((*section)->content.size(), 1u);
+}
+
+TEST_F(ContextWalkTest, BuildSectionMatchesHeadingBeforeContent) {
+  auto ctx = FindGoverningContext(*store_, Hit("shrinking"));
+  ASSERT_TRUE(ctx.ok());
+  const textindex::TextQuery matching = textindex::ParseTextQuery("technology");
+  auto kept = BuildSection(*store_, *ctx, &matching);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(kept->has_value());
+  EXPECT_EQ((*kept)->content.size(), 1u);
+  const textindex::TextQuery other = textindex::ParseTextQuery("budget");
+  auto rejected = BuildSection(*store_, *ctx, &other);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_FALSE(rejected->has_value());
 }
 
 TEST_F(ContextWalkTest, UpmarkedNestedContentLayout) {

@@ -109,7 +109,7 @@ TEST_P(StoreRoundTripProperty, SiblingChainsCoverAllChildren) {
     storage::RowId cur = (*kids)[0];
     while (cur.valid()) {
       forward.push_back(cur);
-      auto r = (*store)->GetNode(cur);
+      auto r = (*store)->ReadNode(cur);
       ASSERT_TRUE(r.ok());
       cur = r->sibling_rowid;
     }
@@ -118,7 +118,7 @@ TEST_P(StoreRoundTripProperty, SiblingChainsCoverAllChildren) {
     cur = kids->back();
     while (cur.valid()) {
       backward.push_back(cur);
-      auto r = (*store)->GetNode(cur);
+      auto r = (*store)->ReadNode(cur);
       ASSERT_TRUE(r.ok());
       cur = r->prev_rowid;
     }

@@ -123,7 +123,7 @@ TEST_F(XmlStoreTest, NodeLinksFormTraversableTree) {
   ASSERT_TRUE(kids.ok());
   ASSERT_EQ(kids->size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
-    auto rec = store_->GetNode((*kids)[i]);
+    auto rec = store_->ReadNode((*kids)[i]);
     ASSERT_TRUE(rec.ok());
     EXPECT_EQ(rec->parent_rowid, root_rowid);
     if (i + 1 < 4) {
@@ -162,7 +162,7 @@ TEST_F(XmlStoreTest, TextIndexFindsNodes) {
   Insert(kUpmarked);
   auto hits = store_->TextLookup("seamless");
   ASSERT_EQ(hits.size(), 1u);
-  auto rec = store_->GetNode(hits[0]);
+  auto rec = store_->ReadNode(hits[0]);
   ASSERT_TRUE(rec.ok());
   EXPECT_TRUE(rec->is_text());
   EXPECT_NE(rec->node_data.find("Seamless"), std::string::npos);
