@@ -73,9 +73,9 @@ void BM_FanOut(benchmark::State& state) {
   q.context = "Budget";
   size_t hits_count = 0;
   for (auto _ : state) {
-    auto hits = fleet->router.Query("bank", q);
-    bench::Check(hits.status(), "query");
-    hits_count = hits->size();
+    auto result = fleet->router.QueryFederated("bank", q);
+    bench::Check(result.status(), "query");
+    hits_count = result->hits.size();
     benchmark::DoNotOptimize(hits_count);
   }
   state.SetItemsProcessed(state.iterations());
@@ -117,12 +117,13 @@ void PrintScalingTable() {
   for (int n : {1, 2, 4, 8, 16, 32}) {
     auto fleet = MakeStoreFleet(n, 60);
     // Warm.
-    bench::Check(fleet->router.Query("bank", q).status(), "warm");
+    bench::Check(fleet->router.QueryFederated("bank", q).status(), "warm");
     const int kReps = 10;
     Stopwatch w;
     size_t hits_count = 0;
     for (int r = 0; r < kReps; ++r) {
-      hits_count = bench::Unwrap(fleet->router.Query("bank", q), "query").size();
+      hits_count =
+          bench::Unwrap(fleet->router.QueryFederated("bank", q), "query").hits.size();
     }
     double ms = w.ElapsedSeconds() * 1000 / kReps;
     std::printf("%10d %18.3f %14zu %22.3f\n", n, ms, hits_count, ms / n);

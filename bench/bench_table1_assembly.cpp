@@ -115,7 +115,8 @@ AssemblyResult AssembleAnomalyTracking(int reports_per_source) {
   r.documents = a.nm->store()->document_count() + b.nm->store()->document_count();
   query::XdbQuery q;
   q.context = "Anomaly Description";
-  r.first_query_hits = bench::Unwrap(router.Query("anomalies", q), "query").size();
+  r.first_query_hits =
+      bench::Unwrap(router.QueryFederated("anomalies", q), "query").hits.size();
   return r;
 }
 

@@ -105,7 +105,7 @@ int main() {
       "federated query");
   for (const auto& hit : critical.hits) {
     std::printf("  [%s] %s: %.70s\n", hit.source.c_str(), hit.file_name.c_str(),
-                hit.text.c_str());
+                hit.body ? hit.body->Text().c_str() : "");
   }
   std::printf("  (%zu sources queried, %zu full push-down, %zu augmented,"
               " complete=%s)\n\n",
@@ -120,7 +120,7 @@ int main() {
       "augmented query");
   for (const auto& hit : lessons_hits.hits) {
     std::printf("  [%s] %s -> %s\n", hit.source.c_str(), hit.file_name.c_str(),
-                hit.text.c_str());
+                hit.body ? hit.body->Text().c_str() : "");
   }
   std::printf("  (%zu sources needed client-side augmentation)\n",
               lessons_hits.stats.augmented);

@@ -49,47 +49,33 @@ Result<int64_t> Netmark::IngestContent(const std::string& file_name,
   return store_->InsertDocument(doc, info);
 }
 
+// The service's executor: its caches and metrics are the instance's.
 Result<std::vector<query::QueryHit>> Netmark::Query(const std::string& query_string) {
   NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  // The ad-hoc executor shares the service's caches (same store, so the
-  // epoch-keyed result cache is valid here too).
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  return executor.Execute(q);
+  return service_->executor().Execute(q);
+}
+
+Result<xml::Document> Netmark::ComposeQuery(const std::string& query_string) {
+  NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
+  // One snapshot spans execute + compose (same consistent view).
+  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
+  query::QueryExecutor::Stats stats;
+  NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
+                           service_->executor().Execute(q, snapshot, &stats));
+  NETMARK_ASSIGN_OR_RETURN(
+      query::ResultSet set,
+      query::ComposeResultSet(*store_, q, hits, stats.quarantined_skips));
+  return query::Encode(set);
 }
 
 Result<std::string> Netmark::QueryToXml(const std::string& query_string) {
-  NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  // One snapshot spans execute + compose (same consistent view).
-  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-  NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           executor.Execute(q, snapshot));
-  NETMARK_ASSIGN_OR_RETURN(xml::Document results,
-                           query::ComposeResults(*store_, q, hits));
+  NETMARK_ASSIGN_OR_RETURN(xml::Document results, ComposeQuery(query_string));
   return xml::Serialize(results);
 }
 
 Result<std::string> Netmark::QueryAndTransform(const std::string& query_string,
                                                std::string_view stylesheet_text) {
-  NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  xml::Document results;
-  {
-    // One snapshot spans execute + compose (same consistent view).
-    xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-    NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                             executor.Execute(q, snapshot));
-    NETMARK_ASSIGN_OR_RETURN(results, query::ComposeResults(*store_, q, hits));
-  }
+  NETMARK_ASSIGN_OR_RETURN(xml::Document results, ComposeQuery(query_string));
   NETMARK_ASSIGN_OR_RETURN(xml::Document transformed,
                            xslt::Transform(stylesheet_text, results));
   return xml::Serialize(transformed);
@@ -124,12 +110,6 @@ Status Netmark::RegisterSource(std::shared_ptr<federation::Source> source) {
 Status Netmark::DefineDatabank(const std::string& name,
                                std::vector<std::string> source_names) {
   return router_.DefineDatabank(name, std::move(source_names));
-}
-
-Result<std::vector<federation::FederatedHit>> Netmark::QueryDatabank(
-    const std::string& databank, const std::string& query_string) {
-  NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  return router_.Query(databank, q);
 }
 
 Result<federation::FederatedResult> Netmark::QueryDatabankFederated(

@@ -102,11 +102,9 @@ class Netmark {
   /// Declares a databank — the paper's one-line integration step.
   Status DefineDatabank(const std::string& name,
                         std::vector<std::string> source_names);
-  /// Queries a databank through the thin router.
-  Result<std::vector<federation::FederatedHit>> QueryDatabank(
-      const std::string& databank, const std::string& query_string);
-  /// Queries a databank, returning hits plus the per-source outcome report
-  /// and per-query stats (partial-result semantics).
+  /// Queries a databank through the thin router, returning the merged hits
+  /// plus the per-source outcome report and per-query stats (partial-result
+  /// semantics: `complete()` tells a full answer from a degraded one).
   Result<federation::FederatedResult> QueryDatabankFederated(
       const std::string& databank, const std::string& query_string);
 
@@ -151,6 +149,9 @@ class Netmark {
  private:
   explicit Netmark(NetmarkOptions options)
       : options_(std::move(options)), router_(options_.router) {}
+
+  /// Executes and composes the `<results>` document of a query string.
+  Result<xml::Document> ComposeQuery(const std::string& query_string);
 
   NetmarkOptions options_;
   std::unique_ptr<xmlstore::XmlStore> store_;

@@ -1,46 +1,36 @@
 #include "federation/augment.h"
 
-#include "xml/parser.h"
-#include "xml/serializer.h"
-
 namespace netmark::federation {
 
 std::vector<DomSection> ExtractSections(const xml::Document& doc,
+                                        xml::NodeId first, xml::NodeId end,
                                         const xml::NodeTypeConfig& node_types) {
+  auto is_context = [&](xml::NodeId n) {
+    return doc.kind(n) == xml::NodeKind::kElement &&
+           node_types.Classify(doc, n) == xml::NetmarkNodeType::kContext;
+  };
   std::vector<DomSection> out;
-  for (xml::NodeId node : doc.Descendants(doc.root())) {
-    if (doc.kind(node) != xml::NodeKind::kElement) continue;
-    if (node_types.Classify(doc, node) != xml::NetmarkNodeType::kContext) continue;
-    DomSection section;
-    section.heading = doc.TextContent(node);
-    for (xml::NodeId sib = doc.next_sibling(node); sib != xml::kInvalidNode;
-         sib = doc.next_sibling(sib)) {
-      if (doc.kind(sib) == xml::NodeKind::kElement &&
-          node_types.Classify(doc, sib) == xml::NetmarkNodeType::kContext) {
-        break;
+  for (xml::NodeId top = first; top != xml::kInvalidNode && top != end;
+       top = doc.next_sibling(top)) {
+    for (xml::NodeId node : doc.Descendants(top)) {
+      if (!is_context(node)) continue;
+      DomSection section;
+      section.heading = doc.JoinedText(node);
+      section.first = doc.next_sibling(node);
+      xml::NodeId sib = section.first;
+      for (; sib != xml::kInvalidNode && sib != end && !is_context(sib);
+           sib = doc.next_sibling(sib)) {
+        std::string text = doc.JoinedText(sib);
+        if (!text.empty()) {
+          if (!section.text.empty()) section.text += ' ';
+          section.text += text;
+        }
       }
-      std::string text = doc.kind(sib) == xml::NodeKind::kText
-                             ? doc.data(sib)
-                             : doc.TextContent(sib);
-      if (!text.empty()) {
-        if (!section.text.empty()) section.text += ' ';
-        section.text += text;
-      }
-      section.markup += xml::Serialize(doc, sib);
+      section.end = sib;
+      out.push_back(std::move(section));
     }
-    out.push_back(std::move(section));
   }
   return out;
-}
-
-netmark::Result<std::vector<DomSection>> ExtractSectionsFromMarkup(
-    std::string_view markup, const xml::NodeTypeConfig& node_types) {
-  auto doc = xml::ParseXml(markup);
-  if (!doc.ok()) {
-    NETMARK_ASSIGN_OR_RETURN(xml::Document html, xml::ParseHtml(markup));
-    return ExtractSections(html, node_types);
-  }
-  return ExtractSections(*doc, node_types);
 }
 
 }  // namespace netmark::federation

@@ -1,5 +1,5 @@
-// Query augmentation helpers: client-side section extraction over raw
-// document markup fetched from capability-limited sources.
+// Query augmentation helpers: client-side section extraction over the
+// document DOM returned by capability-limited sources.
 
 #ifndef NETMARK_FEDERATION_AUGMENT_H_
 #define NETMARK_FEDERATION_AUGMENT_H_
@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "xml/dom.h"
 #include "xml/node_type_config.h"
 
@@ -15,22 +14,29 @@ namespace netmark::federation {
 
 /// A section located in a fetched document (DOM-level, no store involved).
 struct DomSection {
-  std::string heading;
-  std::string text;    ///< content-run text (up to the next heading sibling)
-  std::string markup;  ///< serialized content-run markup
+  std::string heading;  ///< heading text, text nodes joined by spaces
+  std::string text;     ///< content-run text, joined the same way
+  /// The content run: `first` up to, not including, `end` (the next heading
+  /// sibling, or kInvalidNode at the end of the sibling run).
+  xml::NodeId first = xml::kInvalidNode;
+  xml::NodeId end = xml::kInvalidNode;
 };
 
-/// \brief Finds every CONTEXT-classified element in `doc` and assembles its
-/// section (following siblings until the next CONTEXT sibling) — the same
-/// walk the XML store performs, but over a transient DOM.
+/// \brief Finds every CONTEXT-classified element in the sibling run
+/// [`first`, `end`) of `doc` and their descendants, and assembles each one's
+/// section (following siblings until the next CONTEXT sibling or `end`) — the
+/// same walk the XML store performs, but over a transient DOM.
 std::vector<DomSection> ExtractSections(
-    const xml::Document& doc,
+    const xml::Document& doc, xml::NodeId first, xml::NodeId end,
     const xml::NodeTypeConfig& node_types = xml::NodeTypeConfig::Default());
 
-/// \brief Parses raw markup then extracts sections; tolerant of HTML.
-netmark::Result<std::vector<DomSection>> ExtractSectionsFromMarkup(
-    std::string_view markup,
-    const xml::NodeTypeConfig& node_types = xml::NodeTypeConfig::Default());
+/// \brief The sections of the whole of `doc`.
+inline std::vector<DomSection> ExtractSections(
+    const xml::Document& doc,
+    const xml::NodeTypeConfig& node_types = xml::NodeTypeConfig::Default()) {
+  return ExtractSections(doc, doc.first_child(doc.root()), xml::kInvalidNode,
+                         node_types);
+}
 
 }  // namespace netmark::federation
 

@@ -1,28 +1,20 @@
 #include "federation/content_only_source.h"
 
 #include "textindex/text_query.h"
-#include "xml/serializer.h"
 
 namespace netmark::federation {
 
 void ContentOnlySource::AddDocument(const std::string& file_name,
-                                    const xml::Document& doc) {
+                                    xml::Document doc) {
   Doc d;
   d.id = static_cast<int64_t>(docs_.size()) + 1;
   d.file_name = file_name;
-  // Space-join text nodes: plain TextContent() concatenation would fuse the
-  // last word of one node with the first of the next, breaking term matches.
-  for (xml::NodeId n : doc.Descendants(doc.root())) {
-    if (doc.kind(n) == xml::NodeKind::kText || doc.kind(n) == xml::NodeKind::kCData) {
-      if (!d.text.empty()) d.text += ' ';
-      d.text += doc.data(n);
-    }
-  }
-  d.markup = xml::Serialize(doc, doc.root());
+  d.text = doc.JoinedText(doc.root());
+  d.dom = std::make_shared<const xml::Document>(std::move(doc));
   docs_.push_back(std::move(d));
 }
 
-netmark::Result<std::vector<FederatedHit>> ContentOnlySource::Execute(
+netmark::Result<query::ResultSet> ContentOnlySource::Execute(
     const query::XdbQuery& query, const CallContext& ctx) {
   if (ctx.expired()) {
     return netmark::Status::DeadlineExceeded("content-only source " + name_ +
@@ -31,7 +23,7 @@ netmark::Result<std::vector<FederatedHit>> ContentOnlySource::Execute(
   // A content-only server ignores any context clause entirely; it matches
   // keywords (no phrase support: phrases degrade to their words — the router
   // re-verifies after augmentation).
-  std::vector<FederatedHit> out;
+  query::ResultSet out;
   if (query.content.empty()) return out;
   textindex::TextQuery parsed = textindex::ParseTextQuery(query.content);
   // Degrade phrases to conjunctions of terms (capability limitation).
@@ -46,12 +38,11 @@ netmark::Result<std::vector<FederatedHit>> ContentOnlySource::Execute(
   }
   for (const Doc& doc : docs_) {
     if (!textindex::Matches(degraded, doc.text)) continue;
-    FederatedHit hit;
+    query::ResultHit hit;
     hit.doc_id = doc.id;
     hit.file_name = doc.file_name;
-    hit.text = doc.text;
-    hit.markup = doc.markup;
-    out.push_back(std::move(hit));
+    hit.body = query::Body{{query::Fragment::Whole(doc.dom)}};
+    out.hits.push_back(std::move(hit));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #ifndef NETMARK_FEDERATION_CONTENT_ONLY_SOURCE_H_
 #define NETMARK_FEDERATION_CONTENT_ONLY_SOURCE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,20 +19,21 @@ namespace netmark::federation {
 ///
 /// Documents are held as upmarked XML, but the query interface exposes only
 /// single-/multi-term content matching over the flat text and returns whole
-/// documents (text + raw markup) — exactly the shape the router's
-/// augmentation path needs to exercise.
+/// documents — it cannot name the section a match sits in, so the router
+/// augments context clauses from the returned DOM.
 class ContentOnlySource : public Source {
  public:
   explicit ContentOnlySource(std::string name) : name_(std::move(name)) {}
 
-  /// Adds a document (takes the upmarked DOM).
-  void AddDocument(const std::string& file_name, const xml::Document& doc);
+  /// Adds a document (takes the upmarked DOM; every hit on it shares it).
+  void AddDocument(const std::string& file_name, xml::Document doc);
 
   const std::string& name() const override { return name_; }
   Capabilities capabilities() const override { return Capabilities::ContentOnly(); }
   using Source::Execute;
-  netmark::Result<std::vector<FederatedHit>> Execute(
-      const query::XdbQuery& query, const CallContext& ctx) override;
+  /// Each matching document's hit carries the whole document as its body.
+  netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
+                                           const CallContext& ctx) override;
 
   size_t document_count() const { return docs_.size(); }
 
@@ -39,8 +41,8 @@ class ContentOnlySource : public Source {
   struct Doc {
     int64_t id;
     std::string file_name;
-    std::string text;    // flattened text for matching
-    std::string markup;  // serialized XML for augmentation
+    std::string text;  // space-joined text for matching
+    std::shared_ptr<const xml::Document> dom;
   };
   std::string name_;
   std::vector<Doc> docs_;

@@ -1,7 +1,6 @@
 #include "federation/local_source.h"
 
 #include "query/compose.h"
-#include "xml/serializer.h"
 
 namespace netmark::federation {
 
@@ -13,7 +12,7 @@ netmark::Result<std::shared_ptr<LocalStoreSource>> LocalStoreSource::OpenOwned(
       new LocalStoreSource(std::move(name), std::move(store)));
 }
 
-netmark::Result<std::vector<FederatedHit>> LocalStoreSource::Execute(
+netmark::Result<query::ResultSet> LocalStoreSource::Execute(
     const query::XdbQuery& query, const CallContext& ctx) {
   if (ctx.expired()) {
     return netmark::Status::DeadlineExceeded("local source " + name_ +
@@ -22,31 +21,10 @@ netmark::Result<std::vector<FederatedHit>> LocalStoreSource::Execute(
   // One snapshot spans the query and the per-hit markup reconstruction so
   // the fragments match the hits even under concurrent ingestion.
   xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
+  query::QueryExecutor::Stats stats;
   NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           executor_.Execute(query, snapshot));
-  std::vector<FederatedHit> out;
-  out.reserve(hits.size());
-  for (const query::QueryHit& hit : hits) {
-    FederatedHit fh;
-    fh.doc_id = hit.doc_id;
-    fh.file_name = hit.file_name;
-    fh.heading = hit.heading;
-    fh.text = hit.text;
-    if (hit.context.valid()) {
-      // Ship the section body, as /xdb composes it for a remote caller.
-      auto body = query::SectionMarkup(*store_, hit.context);
-      if (!body.ok()) {
-        if (!body.status().IsDataLoss()) return body.status();
-        store_->NoteQuarantinedDoc(hit.doc_id);
-        continue;
-      }
-      for (const xml::Document& fragment : *body) {
-        fh.markup += xml::Serialize(fragment, fragment.root());
-      }
-    }
-    out.push_back(std::move(fh));
-  }
-  return out;
+                           executor_.Execute(query, snapshot, &stats));
+  return query::ComposeResultSet(*store_, query, hits, stats.quarantined_skips);
 }
 
 }  // namespace netmark::federation

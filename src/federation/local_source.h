@@ -47,8 +47,11 @@ class LocalStoreSource : public Source {
   }
 
   using Source::Execute;
-  netmark::Result<std::vector<FederatedHit>> Execute(
-      const query::XdbQuery& query, const CallContext& ctx) override;
+  /// Answers as /xdb composes (query::ComposeResultSet): section bodies
+  /// reconstructed from the store, and a quarantined count covering both
+  /// the executor's skips and sections lost while composing.
+  netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
+                                           const CallContext& ctx) override;
 
  private:
   LocalStoreSource(std::string name, std::unique_ptr<xmlstore::XmlStore> owned)

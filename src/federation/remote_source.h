@@ -44,25 +44,16 @@ class RemoteSource : public Source {
   const std::string& name() const override { return name_; }
   Capabilities capabilities() const override { return capabilities_; }
   using Source::Execute;
-  netmark::Result<std::vector<FederatedHit>> Execute(
-      const query::XdbQuery& query, const CallContext& ctx) override;
+  /// The remote's `<results>` reply, decoded (query::Decode); a malformed
+  /// reply is a ParseError.
+  netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
+                                           const CallContext& ctx) override;
 
  private:
   std::string name_;
   std::unique_ptr<HttpTransport> transport_;
   Capabilities capabilities_;
 };
-
-/// \brief Parses a `<results>` document (the XDB endpoint's response format;
-/// see query::ComposeResults) back into federated hits. Exposed for tests.
-/// When `remote_spans` is non-null and the document carries a `<trace>`
-/// block (the remote saw our traceparent header), the remote's span subtree
-/// is decoded into it — ids/parents are indices into the output vector,
-/// timestamps are synthetic (duration-only; remote clocks don't align) —
-/// ready for Trace::Graft under the local `source:*` span.
-netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
-    std::string_view body,
-    std::vector<observability::SpanData>* remote_spans = nullptr);
 
 }  // namespace netmark::federation
 

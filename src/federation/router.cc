@@ -23,9 +23,10 @@ void DefaultSleepMs(int64_t ms) {
 /// can evaluate everything, otherwise push the supported sub-query and
 /// augment the remainder locally (the paper's Context=Title&Content=Engine
 /// walk-through against the Lessons Learned server).
-netmark::Result<std::vector<FederatedHit>> ExecuteSubQuery(
-    Source* source, const query::XdbQuery& query, const CallContext& ctx,
-    QueryStats* stats) {
+netmark::Result<query::ResultSet> ExecuteSubQuery(Source* source,
+                                                  const query::XdbQuery& query,
+                                                  const CallContext& ctx,
+                                                  QueryStats* stats) {
   Capabilities caps = source->capabilities();
   const bool needs_context = !query.context.empty();
   bool needs_phrase = false;
@@ -41,10 +42,9 @@ netmark::Result<std::vector<FederatedHit>> ExecuteSubQuery(
       (!needs_phrase || caps.phrase_search)) {
     // Full push-down.
     ++stats->pushed_down_full;
-    NETMARK_ASSIGN_OR_RETURN(std::vector<FederatedHit> hits,
-                             source->Execute(query, ctx));
-    stats->raw_hits += hits.size();
-    return hits;
+    NETMARK_ASSIGN_OR_RETURN(query::ResultSet set, source->Execute(query, ctx));
+    stats->raw_hits += set.hits.size();
+    return set;
   }
 
   // Capability-limited source: push down the supported sub-query, augment
@@ -61,43 +61,47 @@ netmark::Result<std::vector<FederatedHit>> ExecuteSubQuery(
     return netmark::Status::Unavailable("source " + source->name() +
                                         " supports no usable search capability");
   }
-  NETMARK_ASSIGN_OR_RETURN(std::vector<FederatedHit> raw,
-                           source->Execute(pushed, ctx));
-  stats->raw_hits += raw.size();
+  NETMARK_ASSIGN_OR_RETURN(query::ResultSet set, source->Execute(pushed, ctx));
+  stats->raw_hits += set.hits.size();
 
   textindex::TextQuery context_query = textindex::ParseTextQuery(query.context);
   textindex::TextQuery content_query = textindex::ParseTextQuery(query.content);
-  std::vector<FederatedHit> out;
-  for (FederatedHit& hit : raw) {
+  std::vector<query::ResultHit> raw = std::move(set.hits);
+  set.hits.clear();
+  for (query::ResultHit& hit : raw) {
     if (!needs_context) {
-      // Content-only query: re-verify phrases the source degraded.
-      if (!content_query.empty() && !textindex::Matches(content_query, hit.text)) {
+      // Content-only query: re-verify phrases the source degraded (a hit
+      // with no body has no text to re-verify and is kept).
+      if (hit.body && !content_query.empty() &&
+          !textindex::Matches(content_query, hit.body->Text())) {
         continue;
       }
-      out.push_back(std::move(hit));
+      set.hits.push_back(std::move(hit));
       continue;
     }
-    // Context clause: extract sections from the returned markup and keep the
+    // Context clause: extract sections from the returned DOM and keep the
     // ones whose heading matches (and whose body satisfies the content key).
-    if (hit.markup.empty()) continue;
-    auto sections = ExtractSectionsFromMarkup(hit.markup);
-    if (!sections.ok()) continue;  // unparseable remote payload: skip the hit
-    for (DomSection& section : *sections) {
-      if (!textindex::Matches(context_query, section.heading)) continue;
-      if (!content_query.empty()) {
-        std::string scope = section.heading + " " + section.text;
-        if (!textindex::Matches(content_query, scope)) continue;
+    // A kept section's body is its run of nodes in that same DOM.
+    if (!hit.body) continue;
+    for (const query::Fragment& fragment : hit.body->fragments) {
+      for (DomSection& section :
+           ExtractSections(*fragment.doc, fragment.first, fragment.end)) {
+        if (!textindex::Matches(context_query, section.heading)) continue;
+        if (!content_query.empty() &&
+            !textindex::Matches(content_query, section.heading + " " + section.text)) {
+          continue;
+        }
+        query::ResultHit refined;
+        refined.doc_id = hit.doc_id;
+        refined.file_name = hit.file_name;
+        refined.heading = std::move(section.heading);
+        refined.body =
+            query::Body{{query::Fragment{fragment.doc, section.first, section.end}}};
+        set.hits.push_back(std::move(refined));
       }
-      FederatedHit refined;
-      refined.doc_id = hit.doc_id;
-      refined.file_name = hit.file_name;
-      refined.heading = std::move(section.heading);
-      refined.text = std::move(section.text);
-      refined.markup = std::move(section.markup);
-      out.push_back(std::move(refined));
     }
   }
-  return out;
+  return set;
 }
 
 /// One fan-out unit: everything a worker needs, with shared ownership of the
@@ -118,7 +122,7 @@ struct Slot {
   bool done = false;
   int attempts_started = 0;  // updated as attempts begin (for timeout reports)
   SourceOutcome outcome;
-  std::vector<FederatedHit> hits;
+  query::ResultSet answer;
   QueryStats stats;  // this source's contribution
 };
 
@@ -180,7 +184,7 @@ void RunJob(Job job, const query::XdbQuery& query, const CallContext& ctx,
     const int64_t now = netmark::MonotonicMicros();
     if (result.ok()) {
       job.breaker->RecordSuccess(now);
-      local.hits = std::move(*result);
+      local.answer = std::move(*result);
       ok = true;
       break;
     }
@@ -205,7 +209,8 @@ void RunJob(Job job, const query::XdbQuery& query, const CallContext& ctx,
   }
 
   if (ok) {
-    local.outcome.state = SourceState::kOk;
+    local.outcome.state =
+        local.answer.complete() ? SourceState::kOk : SourceState::kPartial;
   } else if (last.IsDeadlineExceeded() || traced_ctx.expired()) {
     local.outcome.state = SourceState::kTimedOut;
     local.stats.source_timeouts = 1;
@@ -215,7 +220,7 @@ void RunJob(Job job, const query::XdbQuery& query, const CallContext& ctx,
     local.stats.source_failures = 1;
     local.outcome.error = last.ToString();
   }
-  local.outcome.hits = local.hits.size();
+  local.outcome.hits = local.answer.hits.size();
   local.outcome.latency_micros = netmark::MonotonicMicros() - start;
   local.done = true;
 
@@ -240,20 +245,6 @@ void RunJob(Job job, const query::XdbQuery& query, const CallContext& ctx,
 }
 
 }  // namespace
-
-std::string_view SourceStateToString(SourceState state) {
-  switch (state) {
-    case SourceState::kOk:
-      return "ok";
-    case SourceState::kTimedOut:
-      return "timed-out";
-    case SourceState::kFailed:
-      return "failed";
-    case SourceState::kBreakerOpen:
-      return "breaker-open";
-  }
-  return "unknown";
-}
 
 Router::Router(RouterOptions options) : options_(std::move(options)) {
   owned_metrics_ = std::make_unique<observability::MetricsRegistry>();
@@ -466,6 +457,7 @@ netmark::Result<FederatedResult> Router::QueryFederated(
   // keep running on reaper threads and report into the cumulative counters
   // (and the breaker) when they finish; this query stops paying for them.
   FederatedResult result;
+  result.query = query.ToQueryString();
   {
     std::unique_lock<std::mutex> lock(state->mu);
     auto all_done = [&] { return state->done == state->slots.size(); };
@@ -487,12 +479,19 @@ netmark::Result<FederatedResult> Router::QueryFederated(
         result.stats.source_timeouts += slot.stats.source_timeouts;
         result.stats.breaker_skips += slot.stats.breaker_skips;
         result.sources.push_back(slot.outcome);
-        if (slot.outcome.state == SourceState::kOk) {
-          // Hits are merged below in declaration order; move them out while
-          // the lock protects the slot.
-          std::vector<FederatedHit> hits = std::move(slot.hits);
-          slot.hits.clear();
-          for (FederatedHit& hit : hits) {
+        if (slot.outcome.state == SourceState::kOk ||
+            slot.outcome.state == SourceState::kPartial) {
+          // Deterministic merge, whatever order sources finished in: slots
+          // are scanned in declaration order, each block sorted by doc_id.
+          // Move the hits out while the lock protects the slot.
+          query::ResultSet answer = std::move(slot.answer);
+          slot.answer = query::ResultSet();
+          std::stable_sort(answer.hits.begin(), answer.hits.end(),
+                           [](const query::ResultHit& a, const query::ResultHit& b) {
+                             return a.doc_id < b.doc_id;
+                           });
+          result.quarantined += answer.quarantined;
+          for (query::ResultHit& hit : answer.hits) {
             hit.source = slot.outcome.source;
             result.hits.push_back(std::move(hit));
           }
@@ -512,20 +511,6 @@ netmark::Result<FederatedResult> Router::QueryFederated(
   }
   result.stats.sources_queried = names.size();
 
-  // Deterministic merge: hits were appended in declaration order (slots are
-  // scanned in order), so a stable sort by doc_id within each source block is
-  // equivalent to ordering by (declaration index, doc_id).
-  {
-    std::map<std::string, size_t> decl_order;
-    for (size_t i = 0; i < names.size(); ++i) decl_order.emplace(names[i], i);
-    std::stable_sort(result.hits.begin(), result.hits.end(),
-                     [&decl_order](const FederatedHit& a, const FederatedHit& b) {
-                       size_t oa = decl_order.at(a.source);
-                       size_t ob = decl_order.at(b.source);
-                       if (oa != ob) return oa < ob;
-                       return a.doc_id < b.doc_id;
-                     });
-  }
   if (query.limit != 0 && result.hits.size() > query.limit) {
     result.hits.resize(query.limit);
   }
@@ -540,12 +525,6 @@ netmark::Result<FederatedResult> Router::QueryFederated(
   // Opportunistically join workers that already finished.
   reaper_.Reap();
   return result;
-}
-
-netmark::Result<std::vector<FederatedHit>> Router::Query(
-    const std::string& databank, const query::XdbQuery& query) {
-  NETMARK_ASSIGN_OR_RETURN(FederatedResult result, QueryFederated(databank, query));
-  return std::move(result.hits);
 }
 
 Router::Stats Router::stats() const {

@@ -73,26 +73,10 @@ struct SourcePolicy {
   std::optional<CircuitBreakerConfig> breaker;
 };
 
-/// Terminal state of one source within one federated query.
-enum class SourceState {
-  kOk,           ///< answered (possibly after retries)
-  kTimedOut,     ///< deadline expired before an answer arrived
-  kFailed,       ///< all attempts failed (or a non-retryable error)
-  kBreakerOpen,  ///< skipped without a call: breaker is open
-};
-
-/// \brief Human-readable state name ("ok", "timed-out", ...).
-std::string_view SourceStateToString(SourceState state);
-
-/// How one source fared in one query — the partial-result annotation.
-struct SourceOutcome {
-  std::string source;
-  SourceState state = SourceState::kOk;
-  int attempts = 0;             ///< calls issued (0 when breaker-skipped)
-  int64_t latency_micros = 0;   ///< wall time spent on this source
-  size_t hits = 0;              ///< hits this source contributed
-  std::string error;            ///< last error when state != kOk
-};
+// The per-source report is part of the one result contract.
+using query::SourceOutcome;
+using query::SourceState;
+using query::SourceStateToString;
 
 /// Per-query accounting (also kept cumulatively; benches use this).
 struct QueryStats {
@@ -107,19 +91,11 @@ struct QueryStats {
   size_t breaker_skips = 0;      ///< sources ending kBreakerOpen
 };
 
-/// What a federated query returns: merged hits *plus* the per-source report.
-/// `complete()` distinguishes a full answer from a degraded one.
-struct FederatedResult {
-  std::vector<FederatedHit> hits;
-  std::vector<SourceOutcome> sources;  ///< in databank declaration order
-  QueryStats stats;                    ///< this query only
-
-  bool complete() const {
-    for (const SourceOutcome& s : sources) {
-      if (s.state != SourceState::kOk) return false;
-    }
-    return true;
-  }
+/// What a federated query returns: the merged answer — hits, quarantined
+/// count and the per-source report, so `complete()` tells a full answer from
+/// a degraded one — plus this query's routing stats.
+struct FederatedResult : query::ResultSet {
+  QueryStats stats;  ///< this query only
 };
 
 /// \brief Registry of sources + databanks, and the fan-out query engine.
@@ -158,7 +134,9 @@ class Router {
   /// Runs `query` against every source of `databank` concurrently under one
   /// deadline, retrying transient failures, and merges the results in
   /// (declaration order, doc_id) order. Errors only on an unknown databank —
-  /// source failures degrade to a partial result instead.
+  /// source failures degrade to a partial result instead. A source whose own
+  /// answer is incomplete (quarantined sections) ends `partial`: a success
+  /// for its breaker, but the merged answer is not complete.
   netmark::Result<FederatedResult> QueryFederated(const std::string& databank,
                                                   const query::XdbQuery& query);
 
@@ -169,10 +147,6 @@ class Router {
   netmark::Result<FederatedResult> QueryFederated(
       const std::string& databank, const query::XdbQuery& query,
       std::shared_ptr<observability::Trace> trace, int parent_span);
-
-  /// Compatibility wrapper: QueryFederated, keeping only the merged hits.
-  netmark::Result<std::vector<FederatedHit>> Query(const std::string& databank,
-                                                   const query::XdbQuery& query);
 
   using Stats = QueryStats;
   /// Cumulative counters across all queries on this router (atomics; late

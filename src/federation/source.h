@@ -15,6 +15,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "query/result_set.h"
 #include "query/xdb_query.h"
 
 namespace netmark::observability {
@@ -83,20 +84,9 @@ struct Capabilities {
   bool context_search = false;  ///< heading-scoped section queries
   bool content_search = false;  ///< keyword document queries
   bool phrase_search = false;   ///< quoted phrases in keys
-  bool returns_markup = false;  ///< hits carry document/section XML
 
-  static Capabilities Full() { return {true, true, true, true}; }
-  static Capabilities ContentOnly() { return {false, true, false, false}; }
-};
-
-/// One hit returned by a source.
-struct FederatedHit {
-  std::string source;       ///< source name (filled by the router)
-  int64_t doc_id = 0;       ///< source-local document id
-  std::string file_name;
-  std::string heading;      ///< section heading ("" for document-level hits)
-  std::string text;         ///< section text, or full document text
-  std::string markup;       ///< raw XML of the matched unit, when available
+  static Capabilities Full() { return {true, true, true}; }
+  static Capabilities ContentOnly() { return {false, true, false}; }
 };
 
 /// \brief One information source inside a databank.
@@ -107,14 +97,16 @@ class Source {
   virtual Capabilities capabilities() const = 0;
 
   /// Executes the *supported subset* of `query` (the router guarantees it
-  /// only sends what `capabilities()` advertises) and returns raw hits.
-  /// Implementations should honour `ctx.deadline_micros` and return
-  /// Status::DeadlineExceeded once the budget is spent.
-  virtual netmark::Result<std::vector<FederatedHit>> Execute(
-      const query::XdbQuery& query, const CallContext& ctx) = 0;
+  /// only sends what `capabilities()` advertises) and returns its answer:
+  /// the hits plus what is missing from them (docs/XDB_QUERY.md). The
+  /// router fills each hit's `source`. Implementations should honour
+  /// `ctx.deadline_micros` and return Status::DeadlineExceeded once the
+  /// budget is spent.
+  virtual netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
+                                                   const CallContext& ctx) = 0;
 
   /// Convenience: execute with no deadline.
-  netmark::Result<std::vector<FederatedHit>> Execute(const query::XdbQuery& query) {
+  netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query) {
     return Execute(query, CallContext::Unbounded());
   }
 };

@@ -9,27 +9,24 @@
 
 #include "common/result.h"
 #include "query/executor.h"
+#include "query/result_set.h"
 #include "xml/dom.h"
 
 namespace netmark::query {
 
-/// \brief The markup of a section's body: each node of the content run after
-/// the `context` heading, reconstructed in document order. `/xdb` embeds it
-/// in `<content>` and the local databank source ships it, so both answer
-/// with the same section. On DataLoss (a quarantined page) the caller drops
-/// the hit whole and notes its document — never a truncated section.
-netmark::Result<std::vector<xml::Document>> SectionMarkup(
-    const xmlstore::XmlStore& store, storage::RowId context);
+/// \brief Builds the answer set from the executor's hits: a section hit gets
+/// its heading and reconstructed body, a content-only hit its snippet, an
+/// XPath hit its selected node and text. A section whose body sits on a
+/// quarantined page is dropped and counted; `quarantined_skips` (the
+/// executor's Stats::quarantined_skips) is added to that count, so a partial
+/// answer is never reported as complete.
+netmark::Result<ResultSet> ComposeResultSet(const xmlstore::XmlStore& store,
+                                            const XdbQuery& query,
+                                            const std::vector<QueryHit>& hits,
+                                            size_t quarantined_skips = 0);
 
-/// \brief Builds the result document:
-///
-///   <results query="...">
-///     <result doc="file" docid="1">
-///       <context>Heading</context>
-///       <content> ...section markup... </content>
-///     </result>
-///     ...
-///   </results>
+/// \brief Encode(ComposeResultSet(store, query, hits)): the `<results>`
+/// document /xdb answers with.
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
                                               const std::vector<QueryHit>& hits);

@@ -19,8 +19,8 @@ using xmlstore::NodeView;
 
 // Quarantine containment: a read that lands on a checksum-failed page
 // returns Status::DataLoss. Query execution skips the affected node or
-// document (counting it in Stats::quarantined_skips, so the HTTP layer can
-// mark the result partial) instead of failing the whole query; any other
+// document (counting it in Stats::quarantined_skips, which /xdb and the
+// local databank source add to their result set's quarantined count) instead of failing the whole query; any other
 // error still propagates. `on_skip` must exit the enclosing scope
 // (continue/break).
 #define NETMARK_SKIP_ON_DATALOSS(lhs, expr, stats, on_skip) \
@@ -311,7 +311,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
       QueryHit hit;
       hit.doc_id = doc_id;
       hit.file_name = info.file_name;
-      hit.text = doc.TextContent(node);
+      hit.text = doc.JoinedText(node);
       hit.markup = xml::Serialize(doc, node);
       hits.push_back(std::move(hit));
     }
@@ -416,7 +416,9 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
   if (query.limit != 0 && hits.size() > query.limit) {
     hits.resize(query.limit);
   }
-  if (use_cache) {
+  // An answer with quarantine skips is not cached: a later hit would report
+  // no skips, and the loss would read as a complete answer.
+  if (use_cache && local.quarantined_skips == 0) {
     result_cache_->Insert(
         cache_key, epoch,
         std::make_shared<const std::vector<QueryHit>>(hits));

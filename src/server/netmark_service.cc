@@ -10,7 +10,6 @@
 #include "observability/trace_context.h"
 #include "server/daemon.h"
 #include "xml/entities.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace netmark::server {
@@ -313,20 +312,21 @@ HttpResponse NetmarkService::HandleXdb(const HttpRequest& request) {
     exec_span.End();
     root.Annotate("hits", std::to_string(hits->size()));
     observability::ScopedSpan compose_span(trace.get(), "compose", root.id());
-    auto composed = query::ComposeResults(*store_, *query, *hits);
+    auto composed = query::ComposeResultSet(*store_, *query, *hits,
+                                            exec_stats.quarantined_skips);
     if (!composed.ok()) {
       compose_span.End(false, composed.status().ToString());
       root.End(false, composed.status().ToString());
       return finish(StorageErrorResponse(composed.status()));
     }
-    results = std::move(*composed);
+    results = query::Encode(*composed);
   }
 
   root.End();
   if ((want_trace || remote_child) && trace != nullptr) {
     xml::NodeId results_el = results.DocumentElement();
     if (results_el != xml::kInvalidNode) {
-      AppendTraceElement(results, results_el, trace->Snapshot());
+      query::AppendTraceElement(results, results_el, trace->Snapshot());
     }
   }
 
@@ -506,7 +506,7 @@ HttpResponse NetmarkService::HandleTraces(const HttpRequest& request) {
     xml::NodeId root = doc.CreateElement("netmark-trace");
     doc.AddAttribute(root, "id", id);
     doc.AppendChild(doc.root(), root);
-    AppendTraceElement(doc, root, spans);
+    query::AppendTraceElement(doc, root, spans);
     return HttpResponse::Ok(xml::Serialize(doc));
   }
 
@@ -649,100 +649,9 @@ HttpResponse NetmarkService::HandleStatus() {
   return HttpResponse::Ok(std::move(body));
 }
 
-void AppendTraceElement(xml::Document& doc, xml::NodeId parent,
-                        const std::vector<observability::SpanData>& spans) {
-  xml::NodeId trace_el = doc.CreateElement("trace");
-  if (!spans.empty()) {
-    doc.AddAttribute(trace_el, "total_us",
-                     std::to_string(spans[0].duration_micros()));
-  }
-  doc.AppendChild(parent, trace_el);
-  // Span ids are indices and parents always precede children, so one pass
-  // rebuilds the nesting.
-  std::vector<xml::NodeId> span_els(spans.size(), xml::kInvalidNode);
-  for (const observability::SpanData& span : spans) {
-    xml::NodeId el = doc.CreateElement("span");
-    doc.AddAttribute(el, "name", span.name);
-    doc.AddAttribute(el, "us", std::to_string(span.duration_micros()));
-    doc.AddAttribute(el, "ok", span.ok ? "true" : "false");
-    if (!span.finished()) doc.AddAttribute(el, "unfinished", "true");
-    if (span.remote) doc.AddAttribute(el, "remote", "true");
-    if (!span.note.empty()) doc.AddAttribute(el, "note", span.note);
-    for (const auto& [key, value] : span.annotations) {
-      xml::NodeId ann = doc.CreateElement("annotation");
-      doc.AddAttribute(ann, "key", key);
-      doc.AddAttribute(ann, "value", value);
-      doc.AppendChild(el, ann);
-    }
-    xml::NodeId parent_el =
-        (span.parent >= 0 && static_cast<size_t>(span.parent) < spans.size())
-            ? span_els[span.parent]
-            : trace_el;
-    if (parent_el == xml::kInvalidNode) parent_el = trace_el;
-    doc.AppendChild(parent_el, el);
-    if (span.id >= 0 && static_cast<size_t>(span.id) < span_els.size()) {
-      span_els[span.id] = el;
-    }
-  }
-}
-
-xml::Document ComposeFederatedResults(const query::XdbQuery& query,
+xml::Document ComposeFederatedResults(const query::XdbQuery& /*query*/,
                                       const federation::FederatedResult& result) {
-  xml::Document out;
-  xml::NodeId results = out.CreateElement("results");
-  out.AddAttribute(results, "query", query.ToQueryString());
-  out.AddAttribute(results, "count", std::to_string(result.hits.size()));
-  out.AddAttribute(results, "complete", result.complete() ? "true" : "false");
-  out.AppendChild(out.root(), results);
-  // Per-source outcome report: which sources answered, which were missing
-  // and why — so a partial answer is never mistaken for a full one.
-  xml::NodeId sources = out.CreateElement("sources");
-  out.AppendChild(results, sources);
-  for (const federation::SourceOutcome& outcome : result.sources) {
-    xml::NodeId src = out.CreateElement("source");
-    out.AddAttribute(src, "name", outcome.source);
-    out.AddAttribute(src, "outcome",
-                     std::string(federation::SourceStateToString(outcome.state)));
-    out.AddAttribute(src, "attempts", std::to_string(outcome.attempts));
-    out.AddAttribute(src, "latency_ms",
-                     std::to_string(outcome.latency_micros / 1000));
-    out.AddAttribute(src, "hits", std::to_string(outcome.hits));
-    if (!outcome.error.empty()) out.AddAttribute(src, "error", outcome.error);
-    out.AppendChild(sources, src);
-  }
-  for (const federation::FederatedHit& hit : result.hits) {
-    xml::NodeId result = out.CreateElement("result");
-    out.AddAttribute(result, "doc", hit.file_name);
-    out.AddAttribute(result, "docid", std::to_string(hit.doc_id));
-    if (!hit.source.empty()) out.AddAttribute(result, "source", hit.source);
-    out.AppendChild(results, result);
-    if (!hit.heading.empty()) {
-      xml::NodeId context = out.CreateElement("context");
-      out.AppendChild(context, out.CreateText(hit.heading));
-      out.AppendChild(result, context);
-    }
-    if (!hit.markup.empty() || !hit.text.empty()) {
-      xml::NodeId content = out.CreateElement("content");
-      out.AppendChild(result, content);
-      bool embedded = false;
-      if (!hit.markup.empty()) {
-        // Wrap: the markup may be a forest.
-        auto parsed = xml::ParseXml("<wrap>" + hit.markup + "</wrap>");
-        if (parsed.ok()) {
-          xml::NodeId wrap = parsed->DocumentElement();
-          for (xml::NodeId c = parsed->first_child(wrap); c != xml::kInvalidNode;
-               c = parsed->next_sibling(c)) {
-            out.AppendChild(content, out.ImportSubtree(*parsed, c));
-          }
-          embedded = true;
-        }
-      }
-      if (!embedded) {
-        out.AppendChild(content, out.CreateText(hit.text));
-      }
-    }
-  }
-  return out;
+  return query::Encode(result);
 }
 
 }  // namespace netmark::server

@@ -85,6 +85,8 @@ class NetmarkService {
   /// bound to this service's store — never share it with another store.
   query::QueryResultCache* result_cache() { return &result_cache_; }
   query::QueryPlanCache* plan_cache() { return &plan_cache_; }
+  /// The executor /xdb runs, wired to these caches and the metrics.
+  const query::QueryExecutor& executor() const { return executor_; }
 
   /// Applies the `[query]` INI knobs (cache_entries / cache_bytes /
   /// cache_enabled). Clears both caches; call before traffic.
@@ -157,19 +159,14 @@ class NetmarkService {
   int64_t slow_query_ms_ = 0;
 };
 
-/// \brief Builds a `<results>` document from a federated query (mirror of
-/// query::ComposeResults for the databank path). Alongside the `<result>`
-/// elements it emits a `<sources>` annotation reporting each source's
-/// outcome (ok / timed-out / failed / breaker-open), attempts and latency —
-/// the partial-result contract: callers always learn what they did NOT get.
+/// \brief The `<results>` document of a federated query: query::Encode of
+/// the router's merged answer, whose `<sources>` block reports each source's
+/// outcome (ok / partial / timed-out / failed / breaker-open), attempts and
+/// latency — callers always learn what they did NOT get. `result` already
+/// carries the canonical string of the query it answers, so `query` is not
+/// read.
 xml::Document ComposeFederatedResults(const query::XdbQuery& query,
                                       const federation::FederatedResult& result);
-
-/// \brief Appends a `<trace>` element (nested `<span>` tree with `us`
-/// wall-time, `ok` outcome and `<annotation>` children) under `parent` —
-/// the `trace=1` response annotation, mirroring the `<sources>` block.
-void AppendTraceElement(xml::Document& doc, xml::NodeId parent,
-                        const std::vector<observability::SpanData>& spans);
 
 }  // namespace netmark::server
 

@@ -173,6 +173,17 @@ std::string Document::TextContent(NodeId id) const {
   return out;
 }
 
+std::string Document::JoinedText(NodeId id) const {
+  std::string out;
+  for (NodeId n : Descendants(id)) {
+    if (kind(n) == NodeKind::kText || kind(n) == NodeKind::kCData) {
+      if (!out.empty()) out += ' ';
+      out += nodes_[n].data;
+    }
+  }
+  return out;
+}
+
 std::vector<NodeId> Document::Descendants(NodeId id) const {
   std::vector<NodeId> out;
   std::vector<NodeId> stack = {id};

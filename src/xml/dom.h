@@ -112,6 +112,10 @@ class Document {
   NodeId DocumentElement() const;
   /// Concatenated text of all descendant text/CDATA nodes.
   std::string TextContent(NodeId id) const;
+  /// Text of all descendant text/CDATA nodes joined by single spaces — the
+  /// rule the XML store's subtree text uses, so `a<b>1</b>` reads "a 1" and
+  /// term matching never sees two words fused.
+  std::string JoinedText(NodeId id) const;
   /// Pre-order walk of the subtree rooted at `id` (inclusive).
   std::vector<NodeId> Descendants(NodeId id) const;
   /// Number of nodes in the subtree rooted at `id` (inclusive).

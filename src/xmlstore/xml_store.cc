@@ -591,24 +591,30 @@ netmark::Result<xml::Document> XmlStore::Reconstruct(int64_t doc_id) const {
 
 netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
   xml::Document out;
+  NETMARK_RETURN_NOT_OK(ReconstructSubtree(node, &out, out.root()));
+  return out;
+}
+
+netmark::Status XmlStore::ReconstructSubtree(RowId node, xml::Document* out,
+                                             xml::NodeId parent) const {
   struct Pending {
     NodeRecord rec;
     xml::NodeId parent;
   };
   NETMARK_ASSIGN_OR_RETURN(NodeView root, ReadNode(node));
   std::vector<Pending> stack;
-  stack.push_back(Pending{root.ToRecord(), out.root()});
+  stack.push_back(Pending{root.ToRecord(), parent});
   while (!stack.empty()) {
     Pending p = std::move(stack.back());
     stack.pop_back();
-    xml::NodeId dom_id = MaterializeNode(p.rec, &out, p.parent);
+    xml::NodeId dom_id = MaterializeNode(p.rec, out, p.parent);
     if (p.rec.is_text()) continue;  // text rows are leaves
     NETMARK_ASSIGN_OR_RETURN(auto kids, OrderedChildren(p.rec.node_id));
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.push_back(Pending{std::move(it->second), dom_id});
     }
   }
-  return out;
+  return netmark::Status::OK();
 }
 
 netmark::Result<NodeView> XmlStore::ReadNode(RowId id) const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "xml/parser.h"
+#include "xml/serializer.h"
 
 namespace netmark::federation {
 namespace {
@@ -18,7 +19,24 @@ TEST(AugmentTest, ExtractsFlatSections) {
   EXPECT_EQ(sections[0].text, "first body more");
   EXPECT_EQ(sections[1].heading, "Two");
   EXPECT_EQ(sections[1].text, "second body");
-  EXPECT_NE(sections[0].markup.find("<p>first body</p>"), std::string::npos);
+  // The content run is a node range in the same DOM, ending at the next
+  // heading.
+  ASSERT_NE(sections[0].first, xml::kInvalidNode);
+  EXPECT_EQ(xml::Serialize(*doc, sections[0].first), "<p>first body</p>");
+  EXPECT_EQ(doc->TextContent(sections[0].end), "Two");
+  EXPECT_EQ(sections[1].end, xml::kInvalidNode);
+}
+
+TEST(AugmentTest, JoinsTextNodesWithSpaces) {
+  // The store's rule: `amount<b>100</b>` reads "amount 100", so a content
+  // key of 100 matches the section as it does in the store.
+  auto doc = xml::ParseXml(
+      "<d><h1>Budget<i>FY</i></h1><p>amount<b>100</b>units</p></d>");
+  ASSERT_TRUE(doc.ok());
+  auto sections = ExtractSections(*doc);
+  ASSERT_EQ(sections.size(), 1u);
+  EXPECT_EQ(sections[0].heading, "Budget FY");
+  EXPECT_EQ(sections[0].text, "amount 100 units");
 }
 
 TEST(AugmentTest, UpmarkedContextContentPairs) {
@@ -46,15 +64,6 @@ TEST(AugmentTest, NoHeadingsMeansNoSections) {
   auto doc = xml::ParseXml("<d><p>just text</p></d>");
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(ExtractSections(*doc).empty());
-}
-
-TEST(AugmentTest, FromMarkupFallsBackToHtml) {
-  // Unbalanced markup rejected by the XML parser goes through HTML parsing.
-  auto sections = ExtractSectionsFromMarkup(
-      "<html><h1>Loose</h1><p>unclosed paragraph</html>");
-  ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 1u);
-  EXPECT_EQ((*sections)[0].heading, "Loose");
 }
 
 TEST(AugmentTest, CustomNodeTypeConfig) {

@@ -168,10 +168,10 @@ TEST(DatabankConfigTest, EndToEndWithRealLocalStore) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   query::XdbQuery q;
   q.context = "Budget";
-  auto hits = router.Query("solo", q);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].heading, "Budget");
+  auto result = router.QueryFederated("solo", q);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->hits.size(), 1u);
+  EXPECT_EQ(result->hits[0].heading, "Budget");
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ class HangingSource : public Source {
   const std::string& name() const override { return name_; }
   Capabilities capabilities() const override { return Capabilities::Full(); }
   using Source::Execute;
-  netmark::Result<std::vector<FederatedHit>> Execute(
-      const query::XdbQuery& query, const CallContext& ctx) override {
+  netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
+                                           const CallContext& ctx) override {
     (void)query;
     std::unique_lock<std::mutex> lock(mu_);
     ++calls_;
@@ -79,7 +79,7 @@ class HangingSource : public Source {
     } else {
       cv_.wait(lock, [&] { return released_; });
     }
-    if (released_) return std::vector<FederatedHit>{};
+    if (released_) return query::ResultSet{};
     return netmark::Status::DeadlineExceeded("hung source gave up at deadline");
   }
   void Release() {

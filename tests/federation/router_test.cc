@@ -66,12 +66,13 @@ class RouterTest : public ::testing::Test {
     ASSERT_TRUE(store->InsertDocument(*doc, info).ok());
   }
 
-  std::vector<FederatedHit> Query(const std::string& bank, const std::string& qs) {
+  std::vector<query::ResultHit> Query(const std::string& bank,
+                                      const std::string& qs) {
     auto q = query::ParseXdbQuery(qs);
     EXPECT_TRUE(q.ok());
-    auto hits = router_.Query(bank, *q);
-    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
-    return hits.ok() ? *hits : std::vector<FederatedHit>{};
+    auto result = router_.QueryFederated(bank, *q);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->hits : std::vector<query::ResultHit>{};
   }
 
   std::unique_ptr<netmark::TempDir> dir_;
@@ -111,7 +112,8 @@ TEST_F(RouterTest, ContentOnlySourceGetsAugmentedForContextQueries) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].source, "lessons");
   EXPECT_EQ(hits[0].heading, "Title");
-  EXPECT_NE(hits[0].text.find("Engine turbine"), std::string::npos);
+  ASSERT_TRUE(hits[0].body);
+  EXPECT_NE(hits[0].body->Text().find("Engine turbine"), std::string::npos);
   EXPECT_EQ(router_.stats().augmented, 1u);
 }
 
@@ -119,13 +121,14 @@ TEST_F(RouterTest, AugmentationFiltersHeadingsLocally) {
   // "budget" appears in lesson2's Lesson section; context=Lesson must match
   // only that section, not the Title one.
   auto hits = Query("all", "context=Lesson&content=budget");
-  std::vector<FederatedHit> lesson_hits;
+  std::vector<query::ResultHit> lesson_hits;
   for (auto& h : hits) {
     if (h.source == "lessons") lesson_hits.push_back(h);
   }
   ASSERT_EQ(lesson_hits.size(), 1u);
   EXPECT_EQ(lesson_hits[0].file_name, "lesson2.xml");
-  EXPECT_NE(lesson_hits[0].text.find("software budget"), std::string::npos);
+  ASSERT_TRUE(lesson_hits[0].body);
+  EXPECT_NE(lesson_hits[0].body->Text().find("software budget"), std::string::npos);
 }
 
 TEST_F(RouterTest, ContentOnlyQueriesPushDownToAllSources) {
@@ -141,7 +144,7 @@ TEST_F(RouterTest, ContentOnlyQueriesPushDownToAllSources) {
 TEST_F(RouterTest, UnknownDatabankFails) {
   query::XdbQuery q;
   q.content = "x";
-  EXPECT_TRUE(router_.Query("nope", q).status().IsNotFound());
+  EXPECT_TRUE(router_.QueryFederated("nope", q).status().IsNotFound());
 }
 
 TEST_F(RouterTest, LimitAppliesAcrossMergedResults) {
@@ -165,9 +168,9 @@ TEST_F(RouterTest, ArbitrarySourceCountsCompose) {
   ASSERT_TRUE(r.DefineDatabank("wide", names).ok());
   query::XdbQuery q;
   q.content = "shared";
-  auto hits = r.Query("wide", q);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 16u);
+  auto result = r.QueryFederated("wide", q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->hits.size(), 16u);
   EXPECT_EQ(r.stats().sources_queried, 16u);
 }
 

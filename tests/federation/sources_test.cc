@@ -21,16 +21,21 @@ TEST(ContentOnlySourceTest, IgnoresContextAndMatchesKeywords) {
   query::XdbQuery q;
   q.content = "turbine";
   q.context = "Completely Ignored";
-  auto hits = source.Execute(q);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].file_name, "l1.xml");
-  EXPECT_FALSE((*hits)[0].markup.empty());
+  auto answer = source.Execute(q);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_EQ(answer->hits.size(), 1u);
+  EXPECT_EQ(answer->hits[0].file_name, "l1.xml");
+  // The whole document is the body; the source names no section.
+  ASSERT_TRUE(answer->hits[0].body);
+  EXPECT_EQ(answer->hits[0].body->Markup(),
+            "<document><context>Title</context><content>turbine wear</content>"
+            "</document>");
+  EXPECT_FALSE(answer->hits[0].heading);
 
   // No content key -> nothing (it cannot do context search at all).
   query::XdbQuery ctx_only;
   ctx_only.context = "Title";
-  EXPECT_TRUE(source.Execute(ctx_only)->empty());
+  EXPECT_TRUE(source.Execute(ctx_only)->hits.empty());
 }
 
 TEST(ContentOnlySourceTest, PhraseDegradesToConjunction) {
@@ -41,10 +46,10 @@ TEST(ContentOnlySourceTest, PhraseDegradesToConjunction) {
   source.AddDocument("d.xml", *doc);
   query::XdbQuery q;
   q.content = "\"technology gap\"";  // words present but not adjacent
-  auto hits = source.Execute(q);
-  ASSERT_TRUE(hits.ok());
+  auto answer = source.Execute(q);
+  ASSERT_TRUE(answer.ok());
   // The limited source returns it anyway (false positive by design)...
-  EXPECT_EQ(hits->size(), 1u);
+  EXPECT_EQ(answer->hits.size(), 1u);
   // ...and its capabilities say so, which is what tells the router to
   // re-verify.
   EXPECT_FALSE(source.capabilities().phrase_search);
@@ -65,11 +70,13 @@ TEST(LocalSourceTest, FullCapabilityExecution) {
   EXPECT_TRUE(source.capabilities().context_search);
   query::XdbQuery q;
   q.context = "Budget";
-  auto hits = source.Execute(q);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].heading, "Budget");
-  EXPECT_EQ((*hits)[0].markup, "<p>amount 100</p>");
+  auto answer = source.Execute(q);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_EQ(answer->hits.size(), 1u);
+  EXPECT_EQ(answer->hits[0].heading, "Budget");
+  ASSERT_TRUE(answer->hits[0].body);
+  EXPECT_EQ(answer->hits[0].body->Markup(), "<p>amount 100</p>");
+  EXPECT_TRUE(answer->complete());
 }
 
 TEST(RemoteSourceTest, ParsesResultsDocuments) {
@@ -79,21 +86,23 @@ TEST(RemoteSourceTest, ParsesResultsDocuments) {
       "<content><p>one <b>hundred</b></p></content></result>"
       "<result doc=\"b.xml\" docid=\"2\"/>"
       "</results>";
-  auto hits = ParseResultsDocument(body);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 2u);
-  EXPECT_EQ((*hits)[0].file_name, "a.xml");
-  EXPECT_EQ((*hits)[0].doc_id, 1);
-  EXPECT_EQ((*hits)[0].heading, "Budget");
-  EXPECT_EQ((*hits)[0].text, "one hundred");
-  EXPECT_NE((*hits)[0].markup.find("<b>hundred</b>"), std::string::npos);
-  EXPECT_EQ((*hits)[1].file_name, "b.xml");
-  EXPECT_TRUE((*hits)[1].heading.empty());
+  auto set = query::Decode(body);
+  ASSERT_TRUE(set.ok());
+  ASSERT_EQ(set->hits.size(), 2u);
+  const std::vector<query::ResultHit>& hits = set->hits;
+  EXPECT_EQ(hits[0].file_name, "a.xml");
+  EXPECT_EQ(hits[0].doc_id, 1);
+  EXPECT_EQ(hits[0].heading, "Budget");
+  ASSERT_TRUE(hits[0].body);
+  EXPECT_EQ(hits[0].body->Markup(), "<p>one <b>hundred</b></p>");
+  EXPECT_EQ(hits[1].file_name, "b.xml");
+  EXPECT_FALSE(hits[1].heading);
+  EXPECT_FALSE(hits[1].body);
 }
 
 TEST(RemoteSourceTest, RejectsNonResultsPayload) {
-  EXPECT_FALSE(ParseResultsDocument("<error>boom</error>").ok());
-  EXPECT_FALSE(ParseResultsDocument("not xml at all").ok());
+  EXPECT_FALSE(query::Decode("<error>boom</error>").ok());
+  EXPECT_FALSE(query::Decode("not xml at all").ok());
 }
 
 class FakeTransport : public HttpTransport {
@@ -120,11 +129,11 @@ TEST(RemoteSourceTest, BuildsXdbUrlsAndParses) {
   RemoteSource source("remote", std::move(transport));
   query::XdbQuery q;
   q.context = "Technology Gap";
-  auto hits = source.Execute(q);
-  ASSERT_TRUE(hits.ok());
+  auto answer = source.Execute(q);
+  ASSERT_TRUE(answer.ok());
   EXPECT_EQ(raw->last_path, "/xdb?context=Technology+Gap");
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].doc_id, 3);
+  ASSERT_EQ(answer->hits.size(), 1u);
+  EXPECT_EQ(answer->hits[0].doc_id, 3);
 }
 
 }  // namespace

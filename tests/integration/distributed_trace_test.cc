@@ -30,13 +30,13 @@ class StragglerSource : public federation::Source {
     return federation::Capabilities::Full();
   }
   using federation::Source::Execute;
-  Result<std::vector<federation::FederatedHit>> Execute(
+  Result<query::ResultSet> Execute(
       const query::XdbQuery& query, const federation::CallContext& ctx) override {
     (void)query;
     if (ctx.trace != nullptr) {
       ctx.trace->StartSpan("fetch", ctx.span);  // never ended on purpose
     }
-    return std::vector<federation::FederatedHit>{};
+    return query::ResultSet{};
   }
 
  private:

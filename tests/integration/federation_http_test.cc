@@ -81,33 +81,36 @@ class FederationHttpTest : public ::testing::Test {
 
 TEST_F(FederationHttpTest, SimultaneousQueryAcrossLiveServers) {
   // Every anomaly report has an "Anomaly Description" section.
-  auto hits = local_->QueryDatabank("anomalies", "context=Anomaly+Description");
-  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-  EXPECT_EQ(hits->size(), 8u);
+  auto result =
+      local_->QueryDatabankFederated("anomalies", "context=Anomaly+Description");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->hits.size(), 8u);
   size_t from_0 = 0, from_1 = 0;
-  for (const auto& hit : *hits) {
+  for (const auto& hit : result->hits) {
     if (hit.source == "anomaly-db-0") ++from_0;
     if (hit.source == "anomaly-db-1") ++from_1;
     EXPECT_EQ(hit.heading, "Anomaly Description");
-    EXPECT_FALSE(hit.text.empty());
+    ASSERT_TRUE(hit.body);
+    EXPECT_FALSE(hit.body->Text().empty());
   }
   EXPECT_EQ(from_0, 4u);
   EXPECT_EQ(from_1, 4u);
 }
 
 TEST_F(FederationHttpTest, CombinedQueryOverHttp) {
-  auto hits = local_->QueryDatabank("anomalies",
-                                    "context=Disposition&content=critical");
-  ASSERT_TRUE(hits.ok());
-  for (const auto& hit : *hits) {
+  auto critical = local_->QueryDatabankFederated(
+      "anomalies", "context=Disposition&content=critical");
+  ASSERT_TRUE(critical.ok());
+  for (const auto& hit : critical->hits) {
     EXPECT_EQ(hit.heading, "Disposition");
-    EXPECT_NE(hit.text.find("critical"), std::string::npos);
+    ASSERT_TRUE(hit.body);
+    EXPECT_NE(hit.body->Text().find("critical"), std::string::npos);
   }
   // Sanity: the complementary severity exists too and sets differ.
-  auto minor = local_->QueryDatabank("anomalies",
-                                     "context=Disposition&content=minor");
+  auto minor = local_->QueryDatabankFederated("anomalies",
+                                              "context=Disposition&content=minor");
   ASSERT_TRUE(minor.ok());
-  EXPECT_EQ(hits->size() + minor->size(), 8u);
+  EXPECT_EQ(critical->hits.size() + minor->hits.size(), 8u);
 }
 
 TEST_F(FederationHttpTest, DeadSourceDoesNotBreakTheDatabank) {
@@ -120,9 +123,10 @@ TEST_F(FederationHttpTest, DeadSourceDoesNotBreakTheDatabank) {
   ASSERT_TRUE(local_->DefineDatabank(
                       "with-dead", {"anomaly-db-0", "dead", "anomaly-db-1"})
                   .ok());
-  auto hits = local_->QueryDatabank("with-dead", "context=Anomaly+Description");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 8u);
+  auto result =
+      local_->QueryDatabankFederated("with-dead", "context=Anomaly+Description");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->hits.size(), 8u);
   EXPECT_EQ(local_->router()->stats().sources_queried, 3u);
 }
 

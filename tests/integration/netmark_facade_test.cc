@@ -89,10 +89,10 @@ TEST_F(FacadeTest, SelfSourceAndDatabank) {
   ASSERT_TRUE(nm_->IngestContent("x.txt", "SECTION\nfederated words\n").ok());
   ASSERT_TRUE(nm_->RegisterSelfAsSource("me").ok());
   ASSERT_TRUE(nm_->DefineDatabank("solo", {"me"}).ok());
-  auto hits = nm_->QueryDatabank("solo", "context=Section");
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0].source, "me");
+  auto result = nm_->QueryDatabankFederated("solo", "context=Section");
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->hits.size(), 1u);
+  EXPECT_EQ(result->hits[0].source, "me");
 }
 
 TEST_F(FacadeTest, ServerLifecycle) {

@@ -48,13 +48,15 @@ TEST(SourceFactoryTest, LocalAndRemoteDeclarationsResolve) {
 
   query::XdbQuery q;
   q.context = "Alpha Section";
-  auto hits = router.Query("both", q);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 2u);
-  EXPECT_EQ((*hits)[0].source, "disk");
-  EXPECT_EQ((*hits)[1].source, "wire");
-  EXPECT_NE((*hits)[0].text.find("local words"), std::string::npos);
-  EXPECT_NE((*hits)[1].text.find("remote words"), std::string::npos);
+  auto result = router.QueryFederated("both", q);
+  ASSERT_TRUE(result.ok());
+  const std::vector<query::ResultHit>& hits = result->hits;
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].source, "disk");
+  EXPECT_EQ(hits[1].source, "wire");
+  ASSERT_TRUE(hits[0].body && hits[1].body);
+  EXPECT_NE(hits[0].body->Text().find("local words"), std::string::npos);
+  EXPECT_NE(hits[1].body->Text().find("remote words"), std::string::npos);
   (*remote)->StopServer();
 }
 
@@ -79,9 +81,9 @@ TEST(SourceFactoryTest, MissingLocalStoreStillOpens) {
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   query::XdbQuery q;
   q.content = "anything";
-  auto hits = (*source)->Execute(q);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_TRUE(hits->empty());
+  auto answer = (*source)->Execute(q);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_TRUE(answer->hits.empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "common/temp_dir.h"
 #include "query/plan.h"
 #include "query/result_cache.h"
+#include "support/quarantined_store.h"
 #include "xml/parser.h"
 
 namespace netmark::query {
@@ -251,55 +252,10 @@ class ExecutorQuarantineTest : public ::testing::Test {
     auto dir = netmark::TempDir::Make("executor_quarantine");
     ASSERT_TRUE(dir.ok());
     dir_ = std::make_unique<netmark::TempDir>(std::move(*dir));
-    auto store = xmlstore::XmlStore::Open(dir_->str());
-    ASSERT_TRUE(store.ok());
-    // "Beta"'s first paragraph nearly fills a page of its own, pushing the
-    // second paragraph — the rest of the Beta content run — onto the next
-    // page, which is then corrupted on disk.
-    std::string filler;
-    while (filler.size() < 8100) filler += "filler ";
-    Insert(**store, "alpha.xml", "<doc><h1>Alpha</h1><p>alpha body</p></doc>");
-    int64_t beta = Insert(**store, "beta.xml",
-                          "<doc><h1>Beta</h1><p>mentions Alpha " + filler +
-                              "</p><p>second paragraph</p></doc>");
-    auto nodes = (*store)->DocumentNodes(beta);
-    ASSERT_TRUE(nodes.ok());
-    ASSERT_EQ(nodes->size(), 7u);
-    const storage::PageId heading_page = (*nodes)[1].first.page;
-    const storage::PageId mention_page = (*nodes)[4].first.page;
-    const storage::PageId second_page = (*nodes)[5].first.page;
-    ASSERT_EQ((*nodes)[5].second.node_name, "p");
-    ASSERT_NE(second_page, heading_page);
-    ASSERT_NE(second_page, mention_page);
-    store->reset();  // checkpoints: the heap file holds every page
-
-    std::fstream f(dir_->path() / "XML.heap",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    const auto offset =
-        static_cast<std::streamoff>(second_page * storage::kPageSize + 100);
-    char c = 0;
-    f.seekg(offset);
-    f.read(&c, 1);
-    c = static_cast<char>(c ^ 0x40);
-    f.seekp(offset);
-    f.write(&c, 1);
-    f.close();
-
+    ASSERT_NO_FATAL_FAILURE(testing_support::BuildQuarantinedStore(dir_->path()));
     auto reopened = xmlstore::XmlStore::Open(dir_->str());
     ASSERT_TRUE(reopened.ok());
     store_ = std::move(*reopened);
-  }
-
-  static int64_t Insert(xmlstore::XmlStore& store, const std::string& name,
-                        const std::string& markup) {
-    auto doc = xml::ParseXml(markup);
-    EXPECT_TRUE(doc.ok());
-    xmlstore::DocumentInfo info;
-    info.file_name = name;
-    auto id = store.InsertDocument(*doc, info);
-    EXPECT_TRUE(id.ok());
-    return id.ok() ? *id : 0;
   }
 
   std::vector<QueryHit> Run(const std::string& query_string,

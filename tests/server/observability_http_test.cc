@@ -38,7 +38,7 @@ class FailingSource : public federation::Source {
     return federation::Capabilities::Full();
   }
   using federation::Source::Execute;
-  Result<std::vector<federation::FederatedHit>> Execute(
+  Result<query::ResultSet> Execute(
       const query::XdbQuery& query, const federation::CallContext& ctx) override {
     (void)query;
     (void)ctx;
