@@ -71,13 +71,14 @@ int main(int argc, char** argv) {
   std::map<std::string, DivisionStats> by_division;
   for (const auto& hit : hits) {
     // "The requested amount is <N> thousand dollars for division <D>."
-    size_t amount_pos = hit.text.find("requested amount is ");
-    size_t division_pos = hit.text.find("for division ");
+    const std::string text = hit.body->Text();
+    size_t amount_pos = text.find("requested amount is ");
+    size_t division_pos = text.find("for division ");
     if (amount_pos == std::string::npos || division_pos == std::string::npos) {
       continue;
     }
-    long long amount = std::stoll(hit.text.substr(amount_pos + 20));
-    std::string division = hit.text.substr(division_pos + 13);
+    long long amount = std::stoll(text.substr(amount_pos + 20));
+    std::string division = text.substr(division_pos + 13);
     division = division.substr(0, division.find_first_of(". "));
     DivisionStats& stats = by_division[division];
     ++stats.proposals;

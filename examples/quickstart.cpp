@@ -63,7 +63,7 @@ int main() {
   std::printf("== Context=Technology Gap ==\n");
   for (const auto& hit : Unwrap(nm->Query("context=Technology+Gap"), "query")) {
     std::printf("  [%s] %s: %s\n", hit.file_name.c_str(), hit.heading.c_str(),
-                hit.text.c_str());
+                hit.body->Text().c_str());
   }
 
   // --- 3. Content search: which documents mention a term anywhere? --------
@@ -77,7 +77,7 @@ int main() {
   std::printf("\n== Context=Technology Gap & Content=shrinking ==\n");
   for (const auto& hit :
        Unwrap(nm->Query("context=Technology+Gap&content=shrinking"), "query")) {
-    std::printf("  [%s] %s\n", hit.file_name.c_str(), hit.text.c_str());
+    std::printf("  [%s] %s\n", hit.file_name.c_str(), hit.body->Text().c_str());
   }
 
   // --- 5. Compose a brand-new document from the hits with XSLT ------------

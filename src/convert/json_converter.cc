@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "xml/parser.h"
 
 namespace netmark::convert {
 
@@ -67,9 +68,17 @@ class JsonParser {
     if (pos_ >= in_.size()) return Error("unexpected end of input");
     switch (in_[pos_]) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Objects and arrays recurse once per level: the markup bound holds.
+        if (depth_ == xml::kMaxNestingDepth) {
+          return Error(netmark::StringPrintf("nested deeper than %zu levels",
+                                             xml::kMaxNestingDepth));
+        }
+        ++depth_;
+        auto value = in_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': {
         NETMARK_ASSIGN_OR_RETURN(std::string s, ParseString());
         JsonValue v;
@@ -246,6 +255,7 @@ class JsonParser {
 
   std::string_view in_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 // Renders a JSON number without trailing ".000000" noise.

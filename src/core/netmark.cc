@@ -57,15 +57,10 @@ Result<std::vector<query::QueryHit>> Netmark::Query(const std::string& query_str
 
 Result<xml::Document> Netmark::ComposeQuery(const std::string& query_string) {
   NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  // One snapshot spans execute + compose (same consistent view).
-  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
   query::QueryExecutor::Stats stats;
   NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           service_->executor().Execute(q, snapshot, &stats));
-  NETMARK_ASSIGN_OR_RETURN(
-      query::ResultSet set,
-      query::ComposeResultSet(*store_, q, hits, stats.quarantined_skips));
-  return query::Encode(set);
+                           service_->executor().Execute(q, &stats));
+  return query::Encode(query::ComposeResultSet(q, hits, stats.quarantined_skips));
 }
 
 Result<std::string> Netmark::QueryToXml(const std::string& query_string) {

@@ -18,13 +18,8 @@ std::vector<DomSection> ExtractSections(const xml::Document& doc,
       section.heading = doc.JoinedText(node);
       section.first = doc.next_sibling(node);
       xml::NodeId sib = section.first;
-      for (; sib != xml::kInvalidNode && sib != end && !is_context(sib);
-           sib = doc.next_sibling(sib)) {
-        std::string text = doc.JoinedText(sib);
-        if (!text.empty()) {
-          if (!section.text.empty()) section.text += ' ';
-          section.text += text;
-        }
+      while (sib != xml::kInvalidNode && sib != end && !is_context(sib)) {
+        sib = doc.next_sibling(sib);
       }
       section.end = sib;
       out.push_back(std::move(section));

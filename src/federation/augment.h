@@ -15,9 +15,9 @@ namespace netmark::federation {
 /// A section located in a fetched document (DOM-level, no store involved).
 struct DomSection {
   std::string heading;  ///< heading text, text nodes joined by spaces
-  std::string text;     ///< content-run text, joined the same way
   /// The content run: `first` up to, not including, `end` (the next heading
-  /// sibling, or kInvalidNode at the end of the sibling run).
+  /// sibling, or kInvalidNode at the end of the sibling run). Its text is
+  /// xml::Document::JoinedText(first, end), as for a section the store reads.
   xml::NodeId first = xml::kInvalidNode;
   xml::NodeId end = xml::kInvalidNode;
 };

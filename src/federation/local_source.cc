@@ -18,13 +18,10 @@ netmark::Result<query::ResultSet> LocalStoreSource::Execute(
     return netmark::Status::DeadlineExceeded("local source " + name_ +
                                              ": deadline expired");
   }
-  // One snapshot spans the query and the per-hit markup reconstruction so
-  // the fragments match the hits even under concurrent ingestion.
-  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
   query::QueryExecutor::Stats stats;
   NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           executor_.Execute(query, snapshot, &stats));
-  return query::ComposeResultSet(*store_, query, hits, stats.quarantined_skips);
+                           executor_.Execute(query, &stats));
+  return query::ComposeResultSet(query, hits, stats.quarantined_skips);
 }
 
 }  // namespace netmark::federation

@@ -19,7 +19,7 @@ class LocalStoreSource : public Source {
  public:
   /// Wraps a store owned elsewhere (must outlive the source).
   LocalStoreSource(std::string name, const xmlstore::XmlStore* store)
-      : name_(std::move(name)), store_(store), executor_(store) {}
+      : name_(std::move(name)), executor_(store) {}
 
   /// Opens the store at `dir` and owns it for the source's lifetime (the
   /// form declarative databank configs use).
@@ -47,22 +47,17 @@ class LocalStoreSource : public Source {
   }
 
   using Source::Execute;
-  /// Answers as /xdb composes (query::ComposeResultSet): section bodies
-  /// reconstructed from the store, and a quarantined count covering both
-  /// the executor's skips and sections lost while composing.
+  /// Answers as /xdb composes (query::ComposeResultSet): the section bodies
+  /// the executor read, and its quarantined count.
   netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
                                            const CallContext& ctx) override;
 
  private:
   LocalStoreSource(std::string name, std::unique_ptr<xmlstore::XmlStore> owned)
-      : name_(std::move(name)),
-        owned_(std::move(owned)),
-        store_(owned_.get()),
-        executor_(owned_.get()) {}
+      : name_(std::move(name)), owned_(std::move(owned)), executor_(owned_.get()) {}
 
   std::string name_;
   std::unique_ptr<xmlstore::XmlStore> owned_;  // null when externally owned
-  const xmlstore::XmlStore* store_;
   query::QueryExecutor executor_;
 };
 

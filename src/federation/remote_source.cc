@@ -15,6 +15,11 @@ netmark::Result<query::ResultSet> RemoteSource::Execute(
   // results); a remote that applied it would answer with markup Decode
   // cannot read.
   pushed.xslt.clear();
+  // A content-only source answers as ContentOnlySource does: each matching
+  // document whole in the body, so the router can extract its sections. The
+  // remote selects the document element, pre-selected by the content key.
+  const bool content_only = !capabilities_.context_search && pushed.xpath.empty();
+  if (content_only) pushed.xpath = "/*";
   if (ctx.bounded()) {
     int64_t remaining = ctx.remaining_ms();
     if (pushed.timeout_ms == 0 || remaining < pushed.timeout_ms) {
@@ -27,6 +32,9 @@ netmark::Result<query::ResultSet> RemoteSource::Execute(
   auto set = query::Decode(body, ctx.trace != nullptr ? &remote_spans : nullptr);
   if (!set.ok()) {
     return set.status().WithContext("remote source " + name_);
+  }
+  if (content_only) {
+    for (query::ResultHit& hit : set->hits) hit.snippet.reset();
   }
   if (ctx.trace != nullptr && !remote_spans.empty()) {
     // Stitch the remote subtree under this hop's span (the local source:*

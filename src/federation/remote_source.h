@@ -45,7 +45,9 @@ class RemoteSource : public Source {
   Capabilities capabilities() const override { return capabilities_; }
   using Source::Execute;
   /// The remote's `<results>` reply, decoded (query::Decode); a malformed
-  /// reply is a ParseError.
+  /// reply is a ParseError. Declared content-only, the source asks for each
+  /// matching document's element (`xpath=/*`) and answers with the
+  /// documents whole in the bodies, as ContentOnlySource does.
   netmark::Result<query::ResultSet> Execute(const query::XdbQuery& query,
                                            const CallContext& ctx) override;
 

@@ -87,16 +87,16 @@ netmark::Result<query::ResultSet> ExecuteSubQuery(Source* source,
       for (DomSection& section :
            ExtractSections(*fragment.doc, fragment.first, fragment.end)) {
         if (!textindex::Matches(context_query, section.heading)) continue;
+        query::Body body{{query::Fragment{fragment.doc, section.first, section.end}}};
         if (!content_query.empty() &&
-            !textindex::Matches(content_query, section.heading + " " + section.text)) {
+            !query::SectionMatches(content_query, section.heading, body)) {
           continue;
         }
         query::ResultHit refined;
         refined.doc_id = hit.doc_id;
         refined.file_name = hit.file_name;
         refined.heading = std::move(section.heading);
-        refined.body =
-            query::Body{{query::Fragment{fragment.doc, section.first, section.end}}};
+        refined.body = std::move(body);
         set.hits.push_back(std::move(refined));
       }
     }

@@ -15,18 +15,17 @@
 namespace netmark::query {
 
 /// \brief Builds the answer set from the executor's hits: a section hit gets
-/// its heading and reconstructed body, a content-only hit its snippet, an
-/// XPath hit its selected node and text. A section whose body sits on a
-/// quarantined page is dropped and counted; `quarantined_skips` (the
-/// executor's Stats::quarantined_skips) is added to that count, so a partial
-/// answer is never reported as complete.
-netmark::Result<ResultSet> ComposeResultSet(const xmlstore::XmlStore& store,
-                                            const XdbQuery& query,
-                                            const std::vector<QueryHit>& hits,
-                                            size_t quarantined_skips = 0);
+/// its heading and body, a content-only hit its snippet, an XPath hit its
+/// selected node and text. The bodies are the DOMs the executor read, so
+/// composing reads no store. `quarantined_skips` (the executor's
+/// Stats::quarantined_skips) becomes the set's quarantined count, so a
+/// partial answer is never reported as complete.
+ResultSet ComposeResultSet(const XdbQuery& query, const std::vector<QueryHit>& hits,
+                           size_t quarantined_skips = 0);
 
-/// \brief Encode(ComposeResultSet(store, query, hits)): the `<results>`
-/// document /xdb answers with.
+/// \brief Encode(ComposeResultSet(query, hits)): the `<results>` document
+/// /xdb answers with. `store` is unused; it stays for the end-to-end
+/// benchmark, which calls this signature.
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
                                               const std::vector<QueryHit>& hits);

@@ -7,7 +7,6 @@
 #include "observability/thread_trace.h"
 #include "query/plan.h"
 #include "query/result_cache.h"
-#include "xml/serializer.h"
 #include "xslt/xpath.h"
 
 namespace netmark::query {
@@ -52,6 +51,28 @@ using xmlstore::NodeView;
     return lhs##_or.status();                                     \
   }                                                               \
   auto lhs = std::move(*lhs##_or);
+
+namespace {
+
+/// The node an XPath selected, copied into a document of its own (selecting
+/// the document itself copies its children).
+std::shared_ptr<const xml::Document> CopyNode(const xml::Document& doc,
+                                              xml::NodeId node) {
+  auto copy = std::make_shared<xml::Document>();
+  xml::NodeId first = node;
+  xml::NodeId end = doc.next_sibling(node);
+  if (node == doc.root()) {
+    first = doc.first_child(node);
+    end = xml::kInvalidNode;
+  }
+  for (xml::NodeId n = first; n != xml::kInvalidNode && n != end;
+       n = doc.next_sibling(n)) {
+    copy->AppendChild(copy->root(), copy->ImportSubtree(doc, n));
+  }
+  return copy;
+}
+
+}  // namespace
 
 netmark::Result<std::vector<RowId>> QueryExecutor::ClauseNodes(
     const QueryClause& clause, Stats& stats) const {
@@ -236,7 +257,9 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
   // Verify headings and assemble sections. A candidate whose heading does
   // not match is dropped before its content run is walked, so its body is
   // never read (docs/durability.md: a quarantined page under a rejected
-  // heading leaves the answer complete).
+  // heading leaves the answer complete). A kept section's body is read once,
+  // into the DOM the hit carries: the re-match, the result cache and
+  // composition all use it.
   std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
   for (uint64_t packed : candidates) {
     RowId ctx = RowId::Unpack(packed);
@@ -244,14 +267,9 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
                              stats, continue);
     if (!built) continue;
     xmlstore::Section& section = *built;
-    NETMARK_SKIP_ON_DATALOSS(body,
-                             xmlstore::SectionText(*store_, section.content),
-                             stats, {
-                               store_->NoteQuarantinedDoc(section.doc_id);
-                               continue;
-                             });
-    if (verify_content &&
-        !textindex::Matches(content_query, section.heading + " " + body)) {
+    Body body{{Fragment::Whole(
+        std::make_shared<const xml::Document>(std::move(section.body)))}};
+    if (verify_content && !SectionMatches(content_query, section.heading, body)) {
       continue;
     }
     ++stats.sections_built;
@@ -265,7 +283,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
     hit.file_name = info.file_name;
     hit.context = ctx;
     hit.heading = std::move(section.heading);
-    hit.text = std::move(body);
+    hit.body = std::move(body);
     ordered.push_back(
         {{section.doc_id, section.context_node_id}, std::move(hit)});
   }
@@ -312,7 +330,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
       hit.doc_id = doc_id;
       hit.file_name = info.file_name;
       hit.text = doc.JoinedText(node);
-      hit.markup = xml::Serialize(doc, node);
+      hit.body = Body{{Fragment::Whole(CopyNode(doc, node))}};
       hits.push_back(std::move(hit));
     }
   }

@@ -53,7 +53,8 @@ struct ExecuteOptions {
 /// Execute is const and carries no per-call state, so one executor instance
 /// serves many threads concurrently (the worker-pool serving path). Each
 /// call runs under a store ReadSnapshot — taken internally, or passed in by
-/// a caller that needs the same consistent view across execute + compose.
+/// a caller that already holds one. The hits carry every section body they
+/// answer with, so composing them needs no snapshot.
 class QueryExecutor {
  public:
   explicit QueryExecutor(const xmlstore::XmlStore* store,
@@ -99,8 +100,7 @@ class QueryExecutor {
   netmark::Result<std::vector<QueryHit>> Execute(const XdbQuery& query,
                                                  Stats* stats = nullptr) const;
 
-  /// Runs the query under a snapshot the caller already holds (so the same
-  /// consistent view spans execute + result composition).
+  /// Runs the query under a snapshot the caller already holds.
   netmark::Result<std::vector<QueryHit>> Execute(
       const XdbQuery& query, const xmlstore::XmlStore::ReadSnapshot& snapshot,
       Stats* stats = nullptr) const;

@@ -129,25 +129,6 @@ void CollectRemoteSpans(const xml::Document& doc, xml::NodeId el, int parent,
   }
 }
 
-/// Replies nested deeper are refused: the span decoder above, Encode's
-/// import and the serializer recurse once per level, and the nesting depth
-/// of a reply is the sender's choice.
-constexpr int kMaxReplyDepth = 1024;
-
-bool WithinMaxDepth(const xml::Document& doc) {
-  std::vector<std::pair<xml::NodeId, int>> stack = {{doc.root(), 0}};
-  while (!stack.empty()) {
-    auto [node, depth] = stack.back();
-    stack.pop_back();
-    if (depth > kMaxReplyDepth) return false;
-    for (xml::NodeId c = doc.first_child(node); c != xml::kInvalidNode;
-         c = doc.next_sibling(c)) {
-      stack.emplace_back(c, depth + 1);
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string_view SourceStateToString(SourceState state) {
@@ -173,12 +154,12 @@ Fragment Fragment::Whole(std::shared_ptr<const xml::Document> doc) {
 
 std::string Body::Text() const {
   std::string out;
-  ForEachNode(*this, [&out](const xml::Document& doc, xml::NodeId n) {
-    std::string text = doc.JoinedText(n);
-    if (text.empty()) return;
+  for (const Fragment& f : fragments) {
+    std::string text = f.doc->JoinedText(f.first, f.end);
+    if (text.empty()) continue;
     if (!out.empty()) out += ' ';
     out += text;
-  });
+  }
   return out;
 }
 
@@ -188,6 +169,14 @@ std::string Body::Markup() const {
     out += xml::Serialize(doc, n);
   });
   return out;
+}
+
+bool SectionMatches(const textindex::TextQuery& content, std::string_view heading,
+                    const Body& body) {
+  std::string text(heading);
+  text += ' ';
+  text += body.Text();
+  return textindex::Matches(content, text);
 }
 
 bool ResultSet::complete() const {
@@ -268,9 +257,6 @@ netmark::Result<ResultSet> Decode(std::string_view body,
   xml::NodeId results = doc.DocumentElement();
   if (results == xml::kInvalidNode || doc.name(results) != "results") {
     return netmark::Status::ParseError("reply is not a <results> document");
-  }
-  if (!WithinMaxDepth(doc)) {
-    return Malformed("nested deeper than " + std::to_string(kMaxReplyDepth) + " levels");
   }
 
   ResultSet set;

@@ -16,6 +16,7 @@
 
 #include "common/result.h"
 #include "observability/trace.h"
+#include "textindex/text_query.h"
 #include "xml/dom.h"
 
 namespace netmark::query {
@@ -60,7 +61,8 @@ struct Fragment {
 struct Body {
   std::vector<Fragment> fragments;
 
-  /// The text nodes joined by single spaces (xml::Document::JoinedText).
+  /// The runs' text: xml::Document::JoinedText of each run, the non-empty
+  /// ones joined by single spaces — the one section-body text rule.
   std::string Text() const;
   /// The nodes serialized back to back.
   std::string Markup() const;
@@ -68,6 +70,12 @@ struct Body {
     return a.Markup() == b.Markup();
   }
 };
+
+/// \brief The section rule for a content key: it must match the heading and
+/// the body text (Body::Text) joined by a space. The executor's content
+/// re-match and the router's augmentation both apply it.
+bool SectionMatches(const textindex::TextQuery& content, std::string_view heading,
+                    const Body& body);
 
 /// A matched text slice and the heading of the section it sits in.
 struct Snippet {
@@ -112,13 +120,13 @@ struct ResultSet {
 /// snippet; `quarantined` and `<sources>` when the set has them.
 xml::Document Encode(const ResultSet& set);
 
-/// \brief The one decoder; it reads everything Encode writes. Malformed XML,
-/// a root other than `<results>`, nesting deeper than 1024 levels, a
-/// malformed `docid`, `count`, `quarantined`, `complete` or source
-/// attribute, or a `count`/`complete` that disagrees with the decoded set is
-/// a ParseError. A `<trace>` block is
-/// decoded into `remote_spans` (when non-null) for Trace::Graft: ids index
-/// the vector, timestamps are duration-only (another host's clock).
+/// \brief The one decoder; it reads everything Encode writes. Malformed XML
+/// (including nesting deeper than xml::kMaxNestingDepth), a root other than
+/// `<results>`, a malformed `docid`, `count`, `quarantined`, `complete` or
+/// source attribute, or a `count`/`complete` that disagrees with the decoded
+/// set is a ParseError. A `<trace>` block is decoded into `remote_spans`
+/// (when non-null) for Trace::Graft: ids index the vector, timestamps are
+/// duration-only (another host's clock).
 netmark::Result<ResultSet> Decode(
     std::string_view body,
     std::vector<observability::SpanData>* remote_spans = nullptr);

@@ -286,16 +286,12 @@ HttpResponse NetmarkService::HandleXdb(const HttpRequest& request) {
     results = ComposeFederatedResults(*query, *federated);
   } else {
     observability::ScopedSpan exec_span(trace.get(), "execute", root.id());
-    // One snapshot spans execute + compose, so the hits and the section
-    // bodies composed from them come from the same committed state even
-    // with ingestion running concurrently.
-    xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
     query::QueryExecutor::Stats exec_stats;
     netmark::Result<std::vector<query::QueryHit>> hits = [&] {
       // Bind the trace to this thread so layers below the executor's API
       // (result-cache probe, storage) can attach spans under "execute".
       observability::ThreadTraceScope thread_trace(trace.get(), exec_span.id());
-      return executor_.Execute(*query, snapshot, &exec_stats);
+      return executor_.Execute(*query, &exec_stats);
     }();
     // Tag the trace (and thereby any slow-query log line) with the cache
     // outcome, so a slow miss is attributable at a glance.
@@ -312,14 +308,8 @@ HttpResponse NetmarkService::HandleXdb(const HttpRequest& request) {
     exec_span.End();
     root.Annotate("hits", std::to_string(hits->size()));
     observability::ScopedSpan compose_span(trace.get(), "compose", root.id());
-    auto composed = query::ComposeResultSet(*store_, *query, *hits,
-                                            exec_stats.quarantined_skips);
-    if (!composed.ok()) {
-      compose_span.End(false, composed.status().ToString());
-      root.End(false, composed.status().ToString());
-      return finish(StorageErrorResponse(composed.status()));
-    }
-    results = query::Encode(*composed);
+    results = query::Encode(
+        query::ComposeResultSet(*query, *hits, exec_stats.quarantined_skips));
   }
 
   root.End();

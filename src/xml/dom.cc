@@ -184,6 +184,31 @@ std::string Document::JoinedText(NodeId id) const {
   return out;
 }
 
+std::string Document::JoinedText(NodeId first, NodeId end) const {
+  std::string out;
+  for (NodeId n = first; n != kInvalidNode && n != end; n = next_sibling(n)) {
+    std::string text = JoinedText(n);
+    if (text.empty()) continue;
+    if (!out.empty()) out += ' ';
+    out += text;
+  }
+  return out;
+}
+
+size_t Document::ApproxBytes() const {
+  static const size_t kInline = std::string().capacity();
+  auto heap = [](const std::string& s) {
+    return s.capacity() > kInline ? s.capacity() + 1 : 0;
+  };
+  size_t bytes = sizeof(Document) + nodes_.capacity() * sizeof(Node);
+  for (const Node& n : nodes_) {
+    bytes += heap(n.name) + heap(n.data) +
+             n.attributes.capacity() * sizeof(Attribute);
+    for (const Attribute& a : n.attributes) bytes += heap(a.name) + heap(a.value);
+  }
+  return bytes;
+}
+
 std::vector<NodeId> Document::Descendants(NodeId id) const {
   std::vector<NodeId> out;
   std::vector<NodeId> stack = {id};

@@ -116,12 +116,22 @@ class Document {
   /// rule the XML store's subtree text uses, so `a<b>1</b>` reads "a 1" and
   /// term matching never sees two words fused.
   std::string JoinedText(NodeId id) const;
+  /// The text of the sibling run `first` up to, not including, `end`
+  /// (kInvalidNode: through the last sibling): each node's JoinedText, the
+  /// non-empty ones joined by single spaces. This is a section body's text,
+  /// whether the run was read from the store or found in a DOM.
+  std::string JoinedText(NodeId first, NodeId end) const;
   /// Pre-order walk of the subtree rooted at `id` (inclusive).
   std::vector<NodeId> Descendants(NodeId id) const;
   /// Number of nodes in the subtree rooted at `id` (inclusive).
   size_t SubtreeSize(NodeId id) const;
   /// Depth of `id` (root is depth 0).
   int Depth(NodeId id) const;
+
+  /// Heap and arena bytes this document holds: the node arena's capacity,
+  /// every name, data and attribute string's heap capacity and every
+  /// attribute vector (what a cached document costs).
+  size_t ApproxBytes() const;
 
   /// Deep-copies the subtree rooted at `src` in `from` into this document,
   /// returning the new (detached) subtree root.

@@ -290,6 +290,11 @@ class ParserImpl {
       }
     }
 
+    if (open_stack_.size() > kMaxNestingDepth) {
+      return Status::ParseError(StringPrintf(
+          "<%s> at offset %zu nested deeper than %zu levels", name.c_str(), pos_,
+          kMaxNestingDepth));
+    }
     NodeId el = doc_.CreateElement(name);
     for (Attribute& a : attrs) {
       doc_.AddAttribute(el, std::move(a.name), std::move(a.value));

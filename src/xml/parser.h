@@ -9,6 +9,7 @@
 #ifndef NETMARK_XML_PARSER_H_
 #define NETMARK_XML_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/result.h"
@@ -29,10 +30,16 @@ struct ParseOptions {
   bool keep_whitespace_text = false;
 };
 
+/// Element nesting the parser accepts, in XML and HTML mode alike. The DOM's
+/// copy, serializer and the decoders above it recurse once per level, and
+/// the nesting of untrusted bytes is their sender's choice.
+inline constexpr size_t kMaxNestingDepth = 1024;
+
 /// \brief Parses markup into a Document.
 ///
 /// Errors are returned (never thrown): unbalanced tags in XML mode, malformed
-/// tag syntax, unterminated comments/CDATA.
+/// tag syntax, unterminated comments/CDATA, and elements nested deeper than
+/// kMaxNestingDepth in either mode.
 Result<Document> Parse(std::string_view input, const ParseOptions& options = {});
 
 /// \brief Convenience: strict-XML parse.

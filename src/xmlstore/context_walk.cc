@@ -1,7 +1,5 @@
 #include "xmlstore/context_walk.h"
 
-#include <algorithm>
-
 namespace netmark::xmlstore {
 
 using storage::IndexKey;
@@ -65,35 +63,12 @@ netmark::Result<RowId> FindGoverningContextViaIndex(const XmlStore& store,
 
 namespace {
 
-// The content run after an already-read heading row: following siblings up
-// to (not including) the next CONTEXT sibling.
-netmark::Result<std::vector<RowId>> ContentRun(const XmlStore& store,
-                                               const NodeView& head) {
-  if (!head.is_context()) {
-    return netmark::Status::InvalidArgument("SectionContent requires a CONTEXT node");
-  }
-  std::vector<RowId> out;
-  RowId cur = head.sibling_rowid;
-  for (int hops = 0; cur.valid() && hops < 1 << 20; ++hops) {
-    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store.ReadNode(cur));
-    if (rec.is_context()) break;  // next section begins
-    out.push_back(cur);
-    cur = rec.sibling_rowid;
-  }
-  return out;
-}
-
-}  // namespace
-
-netmark::Result<std::vector<RowId>> SectionContent(const XmlStore& store,
-                                                   RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(NodeView head, store.ReadNode(context));
-  return ContentRun(store, head);
-}
-
-netmark::Result<std::optional<Section>> BuildSection(
-    const XmlStore& store, RowId context, const textindex::TextQuery* heading_query) {
-  NETMARK_ASSIGN_OR_RETURN(NodeView head, store.ReadNode(context));
+// The section after an already-read CONTEXT row: its heading text and, when
+// the heading matches, its content run (following siblings up to, not
+// including, the next CONTEXT sibling) reconstructed into the body.
+netmark::Result<std::optional<Section>> ReadSection(
+    const XmlStore& store, RowId context, const NodeView& head,
+    const textindex::TextQuery* heading_query) {
   Section section;
   section.context = context;
   section.context_node_id = head.node_id;
@@ -102,26 +77,30 @@ netmark::Result<std::optional<Section>> BuildSection(
   if (heading_query != nullptr && !textindex::Matches(*heading_query, section.heading)) {
     return std::optional<Section>();
   }
-  NETMARK_ASSIGN_OR_RETURN(section.content, ContentRun(store, head));
+  RowId cur = head.sibling_rowid;
+  for (int hops = 0; cur.valid() && hops < 1 << 20; ++hops) {
+    NETMARK_ASSIGN_OR_RETURN(NodeView rec, store.ReadNode(cur));
+    if (rec.is_context()) break;  // next section begins
+    NETMARK_RETURN_NOT_OK(
+        store.ReconstructSubtree(rec, &section.body, section.body.root()));
+    cur = rec.sibling_rowid;
+  }
   return std::optional<Section>(std::move(section));
 }
 
-netmark::Result<std::string> SectionText(const XmlStore& store,
-                                         const std::vector<RowId>& content) {
-  std::string out;
-  for (RowId id : content) {
-    NETMARK_ASSIGN_OR_RETURN(std::string text, store.SubtreeText(id));
-    if (!text.empty()) {
-      if (!out.empty()) out += ' ';
-      out += text;
-    }
-  }
-  return out;
-}
+}  // namespace
 
-netmark::Result<std::string> SectionText(const XmlStore& store, RowId context) {
-  NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> content, SectionContent(store, context));
-  return SectionText(store, content);
+netmark::Result<std::optional<Section>> BuildSection(
+    const XmlStore& store, RowId context, const textindex::TextQuery* heading_query) {
+  NETMARK_ASSIGN_OR_RETURN(NodeView head, store.ReadNode(context));
+  if (!head.is_context()) {
+    return netmark::Status::InvalidArgument("BuildSection requires a CONTEXT node");
+  }
+  auto section = ReadSection(store, context, head, heading_query);
+  if (!section.ok() && section.status().IsDataLoss()) {
+    store.NoteQuarantinedDoc(head.doc_id);
+  }
+  return section;
 }
 
 }  // namespace netmark::xmlstore

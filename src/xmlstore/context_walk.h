@@ -13,8 +13,12 @@
 // the end of the sibling run. BuildSection reads the heading row once,
 // builds the heading text from it and, when a heading query is given,
 // matches it before walking the content run, so a rejected candidate costs
-// no body reads. The run is walked once per section: BuildSection records
-// it, and the body text is read from the recorded run.
+// no body reads. A kept section's run is read once: each hop's row is
+// reconstructed, subtree and all, into the section's body document, and
+// every later reader (the content re-match, the result cache, composition)
+// uses that DOM. federation::ExtractSections finds the same run by sibling
+// links in a DOM; both give the body text by xml::Document::JoinedText over
+// the run.
 //
 // Every hop is one physical RowId fetch — the paper's Oracle-rowid trick —
 // decoded in place (XmlStore::ReadNode / NodeView): one page fetch, no
@@ -27,20 +31,22 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "textindex/text_query.h"
+#include "xml/dom.h"
 #include "xmlstore/xml_store.h"
 
 namespace netmark::xmlstore {
 
-/// A located section: the CONTEXT node plus its content run.
+/// A located section: the CONTEXT node plus its body.
 struct Section {
   storage::RowId context;                  ///< the heading node
   int64_t context_node_id = 0;             ///< the heading's NODEID
   std::string heading;                     ///< heading text
-  std::vector<storage::RowId> content;     ///< sibling nodes forming the body
+  /// The content run, reconstructed: the root's children are the heading's
+  /// following siblings up to (not including) the next CONTEXT sibling.
+  xml::Document body;
   int64_t doc_id = 0;
 };
 
@@ -54,25 +60,14 @@ netmark::Result<storage::RowId> FindGoverningContext(const XmlStore& store,
 netmark::Result<storage::RowId> FindGoverningContextViaIndex(const XmlStore& store,
                                                              storage::RowId start);
 
-/// \brief The content run of a CONTEXT node: following siblings up to (not
-/// including) the next CONTEXT sibling.
-netmark::Result<std::vector<storage::RowId>> SectionContent(const XmlStore& store,
-                                                            storage::RowId context);
-
-/// \brief Materializes a full Section (heading text + content + doc). When
-/// `heading_query` is given and the heading does not match it, returns
-/// nullopt without walking the content run.
+/// \brief Materializes the section headed by `context`: heading text, body
+/// and document. When `heading_query` is given and the heading does not
+/// match it, returns nullopt without walking the content run. A node that
+/// is not CONTEXT-typed is an InvalidArgument; a DataLoss on any row after
+/// the heading's notes the document as quarantined (NoteQuarantinedDoc).
 netmark::Result<std::optional<Section>> BuildSection(
     const XmlStore& store, storage::RowId context,
     const textindex::TextQuery* heading_query = nullptr);
-
-/// \brief Concatenated text of a content run (e.g. `Section::content`).
-netmark::Result<std::string> SectionText(
-    const XmlStore& store, const std::vector<storage::RowId>& content);
-
-/// \brief Concatenated text of a section's content run.
-netmark::Result<std::string> SectionText(const XmlStore& store,
-                                         storage::RowId context);
 
 }  // namespace netmark::xmlstore
 

@@ -590,18 +590,18 @@ netmark::Result<xml::Document> XmlStore::Reconstruct(int64_t doc_id) const {
 }
 
 netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
+  NETMARK_ASSIGN_OR_RETURN(NodeView root, ReadNode(node));
   xml::Document out;
-  NETMARK_RETURN_NOT_OK(ReconstructSubtree(node, &out, out.root()));
+  NETMARK_RETURN_NOT_OK(ReconstructSubtree(root, &out, out.root()));
   return out;
 }
 
-netmark::Status XmlStore::ReconstructSubtree(RowId node, xml::Document* out,
+netmark::Status XmlStore::ReconstructSubtree(const NodeView& root, xml::Document* out,
                                              xml::NodeId parent) const {
   struct Pending {
     NodeRecord rec;
     xml::NodeId parent;
   };
-  NETMARK_ASSIGN_OR_RETURN(NodeView root, ReadNode(node));
   std::vector<Pending> stack;
   stack.push_back(Pending{root.ToRecord(), parent});
   while (!stack.empty()) {

@@ -136,9 +136,10 @@ class XmlStore {
   /// Reconstructs only the subtree rooted at `node` (used to render one
   /// section of a document).
   netmark::Result<xml::Document> ReconstructSubtree(storage::RowId node) const;
-  /// Same, appended as the last child of `parent` in `*out`: a section's
-  /// whole content run reconstructs into one document.
-  netmark::Status ReconstructSubtree(storage::RowId node, xml::Document* out,
+  /// Same, from a root row the caller has already read, appended as the
+  /// last child of `parent` in `*out`: a section's whole content run
+  /// reconstructs into one document.
+  netmark::Status ReconstructSubtree(const NodeView& root, xml::Document* out,
                                      xml::NodeId parent) const;
 
   // --- Node access ---

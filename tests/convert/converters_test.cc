@@ -22,6 +22,11 @@ std::vector<federation::DomSection> Sections(const xml::Document& doc) {
   return federation::ExtractSections(doc);
 }
 
+// A section's body text: the run rule the store's sections use too.
+std::string Text(const xml::Document& doc, const federation::DomSection& section) {
+  return doc.JoinedText(section.first, section.end);
+}
+
 TEST(TextConverterTest, InfersSectionsFromHeadingLines) {
   TextConverter conv;
   auto doc = conv.Convert(
@@ -36,9 +41,9 @@ TEST(TextConverterTest, InfersSectionsFromHeadingLines) {
   auto sections = Sections(*doc);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].heading, "INTRODUCTION");
-  EXPECT_NE(sections[0].text.find("Seamless access"), std::string::npos);
+  EXPECT_NE(Text(*doc, sections[0]).find("Seamless access"), std::string::npos);
   EXPECT_EQ(sections[1].heading, "2. Budget Summary");
-  EXPECT_NE(sections[1].text.find("100 thousand"), std::string::npos);
+  EXPECT_NE(Text(*doc, sections[1]).find("100 thousand"), std::string::npos);
 }
 
 TEST(TextConverterTest, PreambleBeforeFirstHeadingKept) {
@@ -96,7 +101,7 @@ TEST(HtmlConverterTest, ParsesMessyHtmlStructurally) {
   auto sections = Sections(*doc);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].heading, "Anomaly Description");
-  EXPECT_NE(sections[0].text.find("engine failed"), std::string::npos);
+  EXPECT_NE(Text(*doc, sections[0]).find("engine failed"), std::string::npos);
 }
 
 TEST(XmlConverterTest, StrictThenTolerant) {
@@ -154,7 +159,7 @@ TEST(NrtConverterTest, FontSizeDrivesHeadings) {
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].heading, "Proposal Title Here");
   EXPECT_EQ(sections[1].heading, "Budget");
-  EXPECT_NE(sections[1].text.find("250 thousand"), std::string::npos);
+  EXPECT_NE(Text(*doc, sections[1]).find("250 thousand"), std::string::npos);
 }
 
 TEST(NrtConverterTest, BoldBodyBecomesIntenseMarkup) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace netmark::convert {
 namespace {
 
@@ -56,6 +58,35 @@ TEST(RegistryTest, ConvertEndToEnd) {
   auto bad = registry.Convert("b.doc", ".font notanumber\nx\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("b.doc"), std::string::npos);
+}
+
+// Untrusted nesting is bounded (xml::kMaxNestingDepth): 200,000 levels of
+// XML, HTML or JSON are a ParseError, not a stack overflow, while 1,000
+// levels still convert.
+TEST(RegistryTest, DeeplyNestedInputsAreParseErrors) {
+  ConverterRegistry registry = ConverterRegistry::Default();
+  struct Case {
+    const char* file_name;
+    const char* open;
+    const char* leaf;
+    const char* close;
+  };
+  for (const Case& c : {Case{"deep.xml", "<a>", "x", "</a>"},
+                        Case{"deep.html", "<div>", "x", "</div>"},
+                        Case{"deep.json", "[", "1", "]"}}) {
+    auto nested = [&c](int depth) {
+      std::string out;
+      for (int i = 0; i < depth; ++i) out += c.open;
+      out += c.leaf;
+      for (int i = 0; i < depth; ++i) out += c.close;
+      return out;
+    };
+    auto deep = registry.Convert(c.file_name, nested(200000));
+    ASSERT_FALSE(deep.ok()) << c.file_name;
+    EXPECT_TRUE(deep.status().IsParseError()) << deep.status().ToString();
+    auto shallow = registry.Convert(c.file_name, nested(1000));
+    EXPECT_TRUE(shallow.ok()) << shallow.status().ToString();
+  }
 }
 
 TEST(RegistryTest, SupportedFormatsListsAll) {

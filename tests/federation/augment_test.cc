@@ -8,6 +8,11 @@
 namespace netmark::federation {
 namespace {
 
+// A section's body text: the run rule the store's sections use too.
+std::string Text(const xml::Document& doc, const DomSection& section) {
+  return doc.JoinedText(section.first, section.end);
+}
+
 TEST(AugmentTest, ExtractsFlatSections) {
   auto doc = xml::ParseXml(
       "<html><h1>One</h1><p>first body</p><p>more</p>"
@@ -16,9 +21,9 @@ TEST(AugmentTest, ExtractsFlatSections) {
   auto sections = ExtractSections(*doc);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].heading, "One");
-  EXPECT_EQ(sections[0].text, "first body more");
+  EXPECT_EQ(Text(*doc, sections[0]), "first body more");
   EXPECT_EQ(sections[1].heading, "Two");
-  EXPECT_EQ(sections[1].text, "second body");
+  EXPECT_EQ(Text(*doc, sections[1]), "second body");
   // The content run is a node range in the same DOM, ending at the next
   // heading.
   ASSERT_NE(sections[0].first, xml::kInvalidNode);
@@ -36,7 +41,7 @@ TEST(AugmentTest, JoinsTextNodesWithSpaces) {
   auto sections = ExtractSections(*doc);
   ASSERT_EQ(sections.size(), 1u);
   EXPECT_EQ(sections[0].heading, "Budget FY");
-  EXPECT_EQ(sections[0].text, "amount 100 units");
+  EXPECT_EQ(Text(*doc, sections[0]), "amount 100 units");
 }
 
 TEST(AugmentTest, UpmarkedContextContentPairs) {
@@ -47,7 +52,7 @@ TEST(AugmentTest, UpmarkedContextContentPairs) {
   auto sections = ExtractSections(*doc);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].heading, "Title");
-  EXPECT_EQ(sections[0].text, "Engine lesson");
+  EXPECT_EQ(Text(*doc, sections[0]), "Engine lesson");
 }
 
 TEST(AugmentTest, NestedHeadingsFoundAtAnyDepth) {
@@ -57,7 +62,7 @@ TEST(AugmentTest, NestedHeadingsFoundAtAnyDepth) {
   auto sections = ExtractSections(*doc);
   ASSERT_EQ(sections.size(), 1u);
   EXPECT_EQ(sections[0].heading, "Deep");
-  EXPECT_EQ(sections[0].text, "deep body");
+  EXPECT_EQ(Text(*doc, sections[0]), "deep body");
 }
 
 TEST(AugmentTest, NoHeadingsMeansNoSections) {

@@ -3,7 +3,8 @@
 // endpoint must answer every query shape — section, content-only, XPath, and
 // a section lost to a quarantined page — exactly as plain /xdb does, apart
 // from the `source` attribute. An augmented content-only source holding the
-// same document returns the same section too.
+// same document returns the same section too, as does a loopback
+// RemoteSource declared content-only.
 
 #include <gtest/gtest.h>
 
@@ -226,6 +227,25 @@ TEST_F(LocalLoopbackAgreementTest, AugmentedContentOnlySourceReturnsTheSameSecti
   EXPECT_EQ(local[0].heading, "Budget");
   EXPECT_TRUE(From(federated, "loopback") == local) << last_body_;
   EXPECT_TRUE(From(federated, "lessons") == local) << last_body_;
+}
+
+TEST_F(LocalLoopbackAgreementTest, ContentOnlyRemoteSourceReturnsTheSameSection) {
+  // A remote NETMARK declared content-only (a databank INI's
+  // `capabilities = content`) answers with whole documents, and the router
+  // extracts the same section from them.
+  ASSERT_NO_FATAL_FAILURE(Open(kBudgetDoc));
+  ASSERT_TRUE(router_
+                  .RegisterSource(std::make_shared<RemoteSource>(
+                      "remote-lessons",
+                      std::make_unique<InProcessTransport>(service_.get()),
+                      Capabilities::ContentOnly()))
+                  .ok());
+  ASSERT_TRUE(router_.DefineDatabank("content", {"local", "remote-lessons"}).ok());
+  query::ResultSet federated = Answer("databank=content&context=Budget&content=100");
+  std::vector<query::ResultHit> local = From(federated, "local");
+  ASSERT_EQ(local.size(), 1u) << last_body_;
+  EXPECT_TRUE(From(federated, "remote-lessons") == local) << last_body_;
+  EXPECT_TRUE(federated.complete()) << last_body_;
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ TEST_F(EndToEndTest, CorpusThroughDaemonThroughQueries) {
   for (const auto& hit : *hits) {
     if (hit.file_name.find("proposal_") != std::string::npos) {
       ++proposals;
-      EXPECT_NE(hit.text.find("requested amount"), std::string::npos);
+      ASSERT_TRUE(hit.body);
+      EXPECT_NE(hit.body->Text().find("requested amount"), std::string::npos);
     }
   }
   EXPECT_EQ(proposals, 5u);  // 30 docs / 6 kinds
@@ -122,9 +123,11 @@ TEST_F(EndToEndTest, ProposalFinancialAggregation) {
   int64_t total = 0;
   int parsed = 0;
   for (const auto& hit : *hits) {
-    size_t pos = hit.text.find("requested amount is ");
+    ASSERT_TRUE(hit.body);
+    const std::string text = hit.body->Text();
+    size_t pos = text.find("requested amount is ");
     ASSERT_NE(pos, std::string::npos);
-    total += std::stoll(hit.text.substr(pos + 20));
+    total += std::stoll(text.substr(pos + 20));
     ++parsed;
   }
   EXPECT_EQ(parsed, 20);

@@ -64,9 +64,10 @@ TEST_F(ExecutorTest, ContextSearchReturnsMatchingSectionsAcrossDocs) {
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].file_name, "paper.xml");
   EXPECT_EQ(hits[0].heading, "Technology Gap");
-  EXPECT_NE(hits[0].text.find("shrinking"), std::string::npos);
+  ASSERT_TRUE(hits[0].body && hits[1].body);
+  EXPECT_NE(hits[0].body->Text().find("shrinking"), std::string::npos);
   EXPECT_EQ(hits[1].file_name, "report.xml");
-  EXPECT_NE(hits[1].text.find("widening"), std::string::npos);
+  EXPECT_NE(hits[1].body->Text().find("widening"), std::string::npos);
 }
 
 TEST_F(ExecutorTest, ContextSearchDoesNotMatchBodyMentions) {

@@ -169,7 +169,7 @@ TEST_F(SpecializedPlanTest, AgreesWithGenericPathOnEveryShape) {
       EXPECT_EQ(fast[i].doc_id, generic[i].doc_id) << qs;
       EXPECT_EQ(fast[i].context, generic[i].context) << qs;
       EXPECT_EQ(fast[i].heading, generic[i].heading) << qs;
-      EXPECT_EQ(fast[i].text, generic[i].text) << qs;
+      EXPECT_EQ(fast[i].body, generic[i].body) << qs;
     }
   }
 }

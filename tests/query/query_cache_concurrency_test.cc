@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "common/temp_dir.h"
+#include "query/compose.h"
 #include "query/executor.h"
 #include "query/plan.h"
 #include "query/result_cache.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 
 namespace netmark::query {
 namespace {
@@ -123,6 +125,55 @@ TEST_F(QueryCacheConcurrencyTest, CommitsAreNeverServedStale) {
   done.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(reader_failures.load(), 0);
+}
+
+// A cached answer's bodies are one set of immutable documents shared by
+// every reader: four threads compose, encode and serialize the same cache
+// hit at once, and every reply is byte-identical to the one a cache-less
+// executor composes.
+TEST_F(QueryCacheConcurrencyTest, CachedBodiesAreSharedAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRepliesPerThread = 50;
+  Insert("more.xml",
+         "<doc><h1>Budget</h1><p>engine <b>overrun</b> of <i>20</i> units</p>"
+         "<table><row>q1</row></table>"
+         "<h1>Budget</h1><p>second engine &amp; budget</p></doc>");
+  for (const char* qs : {"context=Budget", "context=Budget&content=engine",
+                         "xpath=//p"}) {
+    SCOPED_TRACE(qs);
+    auto q = ParseXdbQuery(qs);
+    ASSERT_TRUE(q.ok());
+    QueryExecutor uncached(store_.get());
+    auto reference_hits = uncached.Execute(*q);
+    ASSERT_TRUE(reference_hits.ok());
+    ASSERT_FALSE(reference_hits->empty());
+    const std::string reference =
+        xml::Serialize(Encode(ComposeResultSet(*q, *reference_hits)));
+    ASSERT_TRUE(executor_->Execute(*q).ok());  // caches the answer
+    const uint64_t hits_before = cache_.snapshot().hits;
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kRepliesPerThread; ++i) {
+          QueryExecutor::Stats stats;
+          auto hits = executor_->Execute(*q, &stats);
+          if (!hits.ok() || stats.cache_hits != 1) {
+            ++mismatches;
+            continue;
+          }
+          std::string reply = xml::Serialize(
+              Encode(ComposeResultSet(*q, *hits, stats.quarantined_skips)));
+          if (reply != reference) ++mismatches;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(cache_.snapshot().hits - hits_before,
+              static_cast<uint64_t>(kThreads * kRepliesPerThread));
+  }
 }
 
 TEST_F(QueryCacheConcurrencyTest, ConcurrentConfigureIsSafe) {

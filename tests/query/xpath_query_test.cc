@@ -69,7 +69,7 @@ TEST_F(XPathQueryTest, PredicatesAndAttributesWork) {
   EXPECT_EQ(hits[0].text, "100");
   EXPECT_EQ(hits[1].text, "250");
   EXPECT_EQ(hits[2].text, "300");
-  EXPECT_NE(hits[0].markup.find("<cell name=\"fy2005\">100</cell>"),
+  EXPECT_NE(hits[0].body->Markup().find("<cell name=\"fy2005\">100</cell>"),
             std::string::npos);
 }
 

@@ -55,7 +55,8 @@ TEST(CorpusTest, ProposalCarriesBudgetSection) {
   for (const auto& s : sections) {
     if (s.heading == "Budget") {
       budget_found = true;
-      EXPECT_NE(s.text.find("requested amount"), std::string::npos);
+      EXPECT_NE(converted->JoinedText(s.first, s.end).find("requested amount"),
+                std::string::npos);
     }
   }
   EXPECT_TRUE(budget_found);

@@ -111,6 +111,28 @@ TEST(ParserTest, AdjacentTextMerges) {
 
 // --- HTML tolerance ---
 
+TEST(ParserTest, NestingIsBoundedInBothModes) {
+  auto nested = [](size_t depth) {
+    std::string out;
+    for (size_t i = 0; i < depth; ++i) out += "<e>";
+    out += "x";
+    for (size_t i = 0; i < depth; ++i) out += "</e>";
+    return out;
+  };
+  for (bool html : {false, true}) {
+    ParseOptions options;
+    options.html_mode = html;
+    EXPECT_TRUE(Parse(nested(kMaxNestingDepth), options).ok()) << html;
+    auto deeper = Parse(nested(kMaxNestingDepth + 1), options);
+    ASSERT_FALSE(deeper.ok()) << html;
+    EXPECT_TRUE(deeper.status().IsParseError()) << html;
+    // A self-closing element one level too deep counts too.
+    std::string leaf = nested(kMaxNestingDepth);
+    leaf.insert(kMaxNestingDepth * 3, "<br/>");
+    EXPECT_FALSE(Parse(leaf, options).ok()) << html;
+  }
+}
+
 TEST(ParserHtmlTest, FoldsTagCaseAndClosesVoids) {
   auto doc = ParseHtml("<DIV><BR><IMG src=x.png></DIV>");
   ASSERT_TRUE(doc.ok());

@@ -20,6 +20,16 @@ constexpr const char* kFlatDoc =
     "<p>We presented a framework.</p>"
     "</html>";
 
+// Nodes in a section's content run: the body document's top-level nodes.
+size_t RunLength(const xml::Document& body) {
+  return body.Children(body.root()).size();
+}
+
+// A section's body text, by the run rule.
+std::string BodyText(const xml::Document& body) {
+  return body.JoinedText(body.first_child(body.root()), xml::kInvalidNode);
+}
+
 class ContextWalkTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -97,26 +107,27 @@ TEST_F(ContextWalkTest, IndexWalkAgreesWithRowidWalk) {
 TEST_F(ContextWalkTest, SectionContentStopsAtNextHeading) {
   auto ctx = FindGoverningContext(*store_, Hit("seamless"));
   ASSERT_TRUE(ctx.ok());
-  auto content = SectionContent(*store_, *ctx);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content->size(), 2u);  // the two <p> of Introduction
-  auto text = SectionText(*store_, *ctx);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("Seamless"), std::string::npos);
-  EXPECT_NE(text->find("Middleware"), std::string::npos);
-  EXPECT_EQ(text->find("shrinking"), std::string::npos);  // next section excluded
+  auto section = BuildSection(*store_, *ctx);
+  ASSERT_TRUE(section.ok());
+  ASSERT_TRUE(section->has_value());
+  EXPECT_EQ(RunLength((*section)->body), 2u);  // the two <p> of Introduction
+  const std::string text = BodyText((*section)->body);
+  EXPECT_NE(text.find("Seamless"), std::string::npos);
+  EXPECT_NE(text.find("Middleware"), std::string::npos);
+  EXPECT_EQ(text.find("shrinking"), std::string::npos);  // next section excluded
 }
 
 TEST_F(ContextWalkTest, LastSectionRunsToEnd) {
   auto ctx = FindGoverningContext(*store_, Hit("framework"));
   ASSERT_TRUE(ctx.ok());
-  auto content = SectionContent(*store_, *ctx);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content->size(), 1u);
+  auto section = BuildSection(*store_, *ctx);
+  ASSERT_TRUE(section.ok());
+  ASSERT_TRUE(section->has_value());
+  EXPECT_EQ(RunLength((*section)->body), 1u);
 }
 
 TEST_F(ContextWalkTest, SectionContentRejectsNonContextNode) {
-  EXPECT_TRUE(SectionContent(*store_, Hit("shrinking")).status().IsInvalidArgument());
+  EXPECT_TRUE(BuildSection(*store_, Hit("shrinking")).status().IsInvalidArgument());
 }
 
 TEST_F(ContextWalkTest, BuildSectionAssemblesEverything) {
@@ -127,7 +138,7 @@ TEST_F(ContextWalkTest, BuildSectionAssemblesEverything) {
   ASSERT_TRUE(section->has_value());
   EXPECT_EQ((*section)->heading, "Technology Gap");
   EXPECT_EQ((*section)->doc_id, doc_id_);
-  EXPECT_EQ((*section)->content.size(), 1u);
+  EXPECT_EQ(RunLength((*section)->body), 1u);
 }
 
 TEST_F(ContextWalkTest, BuildSectionMatchesHeadingBeforeContent) {
@@ -137,7 +148,7 @@ TEST_F(ContextWalkTest, BuildSectionMatchesHeadingBeforeContent) {
   auto kept = BuildSection(*store_, *ctx, &matching);
   ASSERT_TRUE(kept.ok());
   ASSERT_TRUE(kept->has_value());
-  EXPECT_EQ((*kept)->content.size(), 1u);
+  EXPECT_EQ(RunLength((*kept)->body), 1u);
   const textindex::TextQuery other = textindex::ParseTextQuery("budget");
   auto rejected = BuildSection(*store_, *ctx, &other);
   ASSERT_TRUE(rejected.ok());
@@ -160,9 +171,10 @@ TEST_F(ContextWalkTest, UpmarkedNestedContentLayout) {
   auto ctx = FindGoverningContext(*store_, Hit("keyword"));
   ASSERT_TRUE(ctx.ok());
   EXPECT_EQ(*store_->SubtreeText(*ctx), "Query Processing");
-  auto text = SectionText(*store_, *ctx);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("text index"), std::string::npos);
+  auto section = BuildSection(*store_, *ctx);
+  ASSERT_TRUE(section.ok());
+  ASSERT_TRUE(section->has_value());
+  EXPECT_NE(BodyText((*section)->body).find("text index"), std::string::npos);
 }
 
 }  // namespace
